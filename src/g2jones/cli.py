@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -145,8 +146,25 @@ def _resolve_rep(args) -> RepDefinition:
     if cache.exists():
         return _load_rep(cache)
     rep = search_valid_rep()
-    cache.write_text(_dumps(rep_to_document(rep)), encoding="utf-8")
+    _write_atomically(cache, _dumps(rep_to_document(rep)))
     return rep
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write and fsync a sibling temporary file, then rename it over ``path``.
+
+    Readers see the old file or the complete new one, never a partial one,
+    and the data is on disk before the name points at it.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_rep(path: Path) -> RepDefinition:

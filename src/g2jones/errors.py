@@ -81,7 +81,7 @@ class NotTorelliError(G2JonesError):
     """Word does not act trivially on homology."""
 
 
-class Degree0NontrivialError(G2JonesError):
+class Degree0NontrivialError(NotUnipotentError):
     """Constant term of a word's series is not the identity."""
 
 

@@ -8,16 +8,23 @@ leading matrix.  :func:`analyze` packages depth, leading matrix, trace,
 a determinant identity check, and the projection onto scalars into one
 report.
 
+No series is formed: c * u^e becomes c * eps^e * e^(e*h), so j! times
+the h^j coefficient is an integer moment of the Laurent image, taken
+for j = 0 .. k only; ``order`` bounds the search for k.
+
 The determinant identity asserted for every analyzed word: det of the
 series matrix agrees with 1 + h^k * trace(C) modulo h^(k+1).  It is
-checked here with the permutation-sum determinant, deliberately a
-different code path from the subset dynamic program used elsewhere.
+checked on the series of order k built from moments 0 .. k with the
+permutation-sum determinant, deliberately a different code path from
+the subset dynamic program used elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
+from math import factorial
 
 from .errors import (
     Degree0NontrivialError,
@@ -25,12 +32,7 @@ from .errors import (
     NotTorelliError,
     ValuationExceedsOrderError,
 )
-from .matrices import (
-    SquareMatrix,
-    determinant_by_permutations,
-    matrix_trace,
-    series_matrix_valuation,
-)
+from .matrices import SquareMatrix, determinant_by_permutations, matrix_trace
 from .rep import Normalization, RepDefinition
 from .rings import LaurentPoly, TruncSeries, laurent_to_series
 from .symplectic import is_torelli
@@ -38,19 +40,14 @@ from .words import MCGWord, evaluate_word
 
 DEFAULT_ORDER = 12
 
-CASES = {"plus": 1, "minus": -1}
-
-
-def case_label(eps: int) -> str:
-    return {1: "plus", -1: "minus"}[eps]
-
 
 def word_series(rep: RepDefinition, word: MCGWord, eps: int, order: int) -> SquareMatrix:
     """Evaluate the word over Z[u, u^-1], then substitute u = eps * e^h.
 
     Substitution is a ring homomorphism, so this equals evaluating the
-    word in the already-substituted generator matrices; doing the exact
-    Laurent product first keeps the series arithmetic to a single pass.
+    word in the already-substituted generator matrices.  The reports
+    read the same coefficients as integer moments instead; this series
+    route is their independent reference.
     """
     laurent = evaluate_word(word, rep.generators)
     return laurent.map_entries(lambda p: laurent_to_series(p, eps, order))
@@ -94,13 +91,70 @@ class FiltrationReport:
         }
 
 
-def _det_identity_holds(series: SquareMatrix, depth: int, lead: SquareMatrix) -> bool:
-    # compare modulo h^(depth + 1), i.e. on coefficients 0..depth
-    det = determinant_by_permutations(series)
-    expected_coeffs = [Fraction(0)] * (depth + 1)
-    expected_coeffs[0] = Fraction(1)
-    expected_coeffs[depth] = Fraction(matrix_trace(lead))
-    return det.truncate(depth) == TruncSeries(depth, expected_coeffs)
+def _moments(image: SquareMatrix, eps: int):
+    """Yield j! times the h^j coefficient matrix of the image at u = eps * e^h.
+
+    For j = 0, 1, 2, ...; a term c * u^e contributes c * eps^e * e^j, so
+    the entries are integer moments of the Laurent entries.
+    """
+    terms = image.map_entries(lambda p: [
+        (e, c if eps == 1 or e % 2 == 0 else -c)
+        for e, c in (p.items() if isinstance(p, LaurentPoly) else ((0, p),))
+    ])
+    for j in count():
+        yield terms.map_entries(lambda entry: sum(c * e ** j for e, c in entry))
+
+
+def _coefficient(moment: SquareMatrix, k: int) -> SquareMatrix:
+    return moment.map_entries(lambda x: Fraction(x, factorial(k)))
+
+
+def _coefficient_at(image: SquareMatrix, eps: int, k: int) -> tuple[bool, SquareMatrix]:
+    """Whether the image is I + O(h^k) at u = eps * e^h, and its h^k coefficient."""
+    moments = list(islice(_moments(image, eps), k + 1))
+    zero = SquareMatrix.zero(image.dim)
+    below = moments[0] == SquareMatrix.identity(image.dim) and all(
+        m == zero for m in moments[1:k]
+    )
+    return below, _coefficient(moments[k], k)
+
+
+def _leading_term(image: SquareMatrix, eps: int, order: int, word: MCGWord):
+    """Depth k <= order and leading matrix of an image that is I + h^k * C + ...
+
+    Raises :class:`Degree0NontrivialError` at the first entry where the
+    constant term differs from the identity, and
+    :class:`ValuationExceedsOrderError` when no k <= order has C != 0.
+    """
+    moments = _moments(image, eps)
+    for i, row in enumerate(next(moments).entries):
+        for j, x in enumerate(row):
+            if x != int(i == j):
+                raise Degree0NontrivialError(
+                    f"constant term of {word.abbreviated()} differs from the identity at ({i}, {j})"
+                )
+    # a nonzero entry of image - I with t terms has a nonzero moment at
+    # some j < t (Vandermonde), so only the identity searches up to order
+    if image == SquareMatrix.identity(image.dim):
+        raise ValuationExceedsOrderError(order)
+    zero = SquareMatrix.zero(image.dim)
+    for k, moment in zip(range(1, order + 1), moments):
+        if moment != zero:
+            return k, _coefficient(moment, k)
+    raise ValuationExceedsOrderError(order)
+
+
+def _det_identity_holds(image: SquareMatrix, eps: int, depth: int, lead: SquareMatrix) -> bool:
+    # the image's coefficients of h^0 .. h^depth, read from its moments
+    # apart from _leading_term, form a matrix of series of order depth
+    coeffs = [_coefficient(m, j) for j, m in enumerate(islice(_moments(image, eps), depth + 1))]
+    dim = image.dim
+    series = SquareMatrix(tuple(
+        tuple(TruncSeries(depth, [c.entry(i, j) for c in coeffs]) for j in range(dim))
+        for i in range(dim)
+    ))
+    expected = TruncSeries(depth, [1] + [0] * (depth - 1) + [matrix_trace(lead)])
+    return determinant_by_permutations(series) == expected
 
 
 def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_ORDER) -> FiltrationReport:
@@ -116,16 +170,9 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
     if not isinstance(order, int) or order < 2:
         raise ValueError("order must be an integer >= 2")
     if not is_torelli(word):
-        raise NotTorelliError(f"word {word} acts nontrivially on homology")
-    series = word_series(rep, word, eps, order)
-    dim = series.dim
-    for i in range(dim):
-        for j in range(dim):
-            if series.entry(i, j).constant_term() != (1 if i == j else 0):
-                raise Degree0NontrivialError(
-                    f"constant term of {word} differs from the identity at ({i}, {j})"
-                )
-    depth, lead = series_matrix_valuation(series)
+        raise NotTorelliError(f"word {word.abbreviated()} acts nontrivially on homology")
+    image = evaluate_word(word, rep.generators)
+    depth, lead = _leading_term(image, eps, order, word)
     trace = Fraction(matrix_trace(lead))
     return FiltrationReport(
         word=str(word),
@@ -136,17 +183,16 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
         depth=depth,
         delta=lead,
         trace=trace,
-        det_lemma_ok=_det_identity_holds(series, depth, lead),
-        trivial_projection=trace / dim,
+        det_lemma_ok=_det_identity_holds(image, eps, depth, lead),
+        trivial_projection=trace / lead.dim,
         normalization=rep.normalization,
     )
 
 
 def verify_det_lemma(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_ORDER) -> bool:
     """Stand-alone check of the determinant identity for one word."""
-    series = word_series(rep, word, eps, order)
-    depth, lead = series_matrix_valuation(series)
-    return _det_identity_holds(series, depth, lead)
+    image = evaluate_word(word, rep.generators)
+    return _det_identity_holds(image, eps, *_leading_term(image, eps, order, word))
 
 
 @dataclass(frozen=True)
@@ -186,25 +232,11 @@ def check_delta_additivity(
         )
     k = rx.depth
     expected = rx.delta + ry.delta
-    product_series = word_series(rep, x * y, eps, order)
-    zero = Fraction(0)
-    dim = product_series.dim
-    actual_rows = tuple(
-        tuple(product_series.entry(i, j).coefficient(k) for j in range(dim))
-        for i in range(dim)
-    )
-    actual = SquareMatrix(actual_rows)
-    lower_ok = all(
-        product_series.entry(i, j).coefficient(t) == (zero if t else (1 if i == j else 0))
-        for t in range(k)
-        for i in range(dim)
-        for j in range(dim)
-    )
-    expected_zero = expected == SquareMatrix.zero(dim)
+    lower_ok, actual = _coefficient_at(evaluate_word(x * y, rep.generators), eps, k)
     holds = lower_ok and actual == expected
     return AdditivityCheck(
         holds=holds,
-        deeper=holds and expected_zero,
+        deeper=holds and expected == SquareMatrix.zero(expected.dim),
         depth=k,
         expected=expected,
         actual=actual,
@@ -261,23 +293,13 @@ def check_bracket(
             order, f"depths {rx.depth} + {ry.depth} exceed order {order}"
         )
     expected = rx.delta * ry.delta - ry.delta * rx.delta
-    series = word_series(rep, x.commutator(y), eps, order)
-    dim = series.dim
-    zero = Fraction(0)
-    lower_ok = all(
-        series.entry(i, j).coefficient(t) == (zero if t else (1 if i == j else 0))
-        for t in range(target)
-        for i in range(dim)
-        for j in range(dim)
+    lower_ok, actual = _coefficient_at(
+        evaluate_word(x.commutator(y), rep.generators), eps, target
     )
-    actual = SquareMatrix(tuple(
-        tuple(series.entry(i, j).coefficient(target) for j in range(dim))
-        for i in range(dim)
-    ))
     holds = lower_ok and actual == expected
     return BracketCheck(
         holds=holds,
-        deeper=holds and expected == SquareMatrix.zero(dim),
+        deeper=holds and expected == SquareMatrix.zero(expected.dim),
         depth=target,
         expected=expected,
         actual=actual,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotUnipotentError, ValuationExceedsOrderError
@@ -282,7 +283,7 @@ def exact_rank(matrix: SquareMatrix) -> int:
         fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
         scale = 1
         for f in fracs:
-            scale = scale * f.denominator // _gcd(scale, f.denominator)
+            scale = scale * f.denominator // gcd(scale, f.denominator)
         rows.append([int(f * scale) for f in fracs])
     n = matrix.dim
     rank = 0
@@ -305,9 +306,3 @@ def exact_rank(matrix: SquareMatrix) -> int:
         if rank == n:
             break
     return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

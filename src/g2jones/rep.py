@@ -15,6 +15,7 @@ which all defining relations hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     DeterminantNotUnitSignError,
@@ -76,19 +77,13 @@ def solve_normalization(n: int = 6, m: int | None = None) -> tuple[int, int]:
     d = len(enumerate_link_patterns(n))
     r = len(enumerate_link_patterns(n - 2))
     if m is None:
-        g = _gcd(d, 2 * r)
+        g = gcd(d, 2 * r)
         m = d // g
     if (2 * r * m) % d != 0:
         raise NoSolutionError(
-            f"no integer a with {d}*a + {2 * r}*{m} = 0; try m divisible by {d // _gcd(d, 2 * r)}"
+            f"no integer a with {d}*a + {2 * r}*{m} = 0; try m divisible by {d // gcd(d, 2 * r)}"
         )
     return (-(2 * r * m) // d, m)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def build_rep(eta: int, a: int, m: int) -> RepDefinition:

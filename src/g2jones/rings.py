@@ -127,6 +127,12 @@ class LaurentPoly:
         a, b = self._coeffs, rhs._coeffs
         if len(a) > len(b):
             a, b = b, a
+        result = LaurentPoly.__new__(LaurentPoly)
+        if len(a) == 1:
+            # a monomial shifts exponents and scales; no coefficient can cancel
+            ((ea, ca),) = a.items()
+            result._coeffs = {ea + eb: ca * cb for eb, cb in b.items()}
+            return result
         out: dict[int, int] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -136,7 +142,6 @@ class LaurentPoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        result = LaurentPoly.__new__(LaurentPoly)
         result._coeffs = out
         return result
 

@@ -61,13 +61,17 @@ def symplectic_generators() -> tuple[SquareMatrix, ...]:
     return tuple(symplectic_generator(i) for i in range(1, 6))
 
 
+# built once, so evaluate_word's per-tuple memo keeps their inverses
+_GENERATORS = symplectic_generators()
+
+
 def is_symplectic(matrix: SquareMatrix) -> bool:
     """Check M^T J M = J."""
     return matrix.transpose() * INTERSECTION_FORM * matrix == INTERSECTION_FORM
 
 
 def symplectic_image(word: MCGWord) -> SquareMatrix:
-    return evaluate_word(word, symplectic_generators())
+    return evaluate_word(word, _GENERATORS)
 
 
 def is_torelli(word: MCGWord) -> bool:

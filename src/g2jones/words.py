@@ -9,12 +9,14 @@ The expression grammar is
     power  := '^' '-'? digits
 
 with whitespace allowed between tokens.  Brackets are group commutators:
-[x, y] = x y x^-1 y^-1.
+[x, y] = x y x^-1 y^-1.  Parentheses and brackets nest at most
+``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BadGeneratorError, ParseError
 from .matrices import SquareMatrix, matrix_inverse
@@ -80,6 +82,13 @@ class MCGWord:
             f"c{g}" if e == 1 else f"c{g}^{e}" for g, e in self.letters
         )
 
+    def abbreviated(self, syllables: int = 8) -> str:
+        """The word as printed, cut after a few syllables for messages."""
+        if len(self.letters) <= syllables:
+            return str(self)
+        head = MCGWord(self.letters[:syllables])
+        return f"{head} \u2026 ({self.letter_length()} letters)"
+
 
 def _reduce(letters):
     out: list[list[int]] = []
@@ -98,10 +107,15 @@ def abelianization_class(word: MCGWord) -> int:
     return word.exponent_sum() % 10
 
 
+# deepest bracket nesting accepted; the parser recurses once per level
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def error(self, message: str, cls=ParseError):
         raise cls(message, self.pos)
@@ -139,6 +153,8 @@ class _Parser:
 
     def parse_base(self) -> MCGWord:
         ch = self.peek()
+        if ch in ("(", "[") and self.nesting == MAX_NESTING:
+            self.error(f"brackets nested deeper than {MAX_NESTING}")
         if ch == "c":
             self.pos += 1
             digit = self.peek()
@@ -150,13 +166,16 @@ class _Parser:
             return MCGWord.generator(int(digit))
         if ch == "(":
             self.pos += 1
+            self.nesting += 1
             inner = self.parse_word(closers=")")
             if self.peek() != ")":
                 self.error("unclosed '('")
             self.pos += 1
+            self.nesting -= 1
             return inner
         if ch == "[":
             self.pos += 1
+            self.nesting += 1
             left = self.parse_word(closers=",")
             if self.peek() != ",":
                 self.error("expected ',' in commutator")
@@ -165,6 +184,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("unclosed '['")
             self.pos += 1
+            self.nesting -= 1
             return left.commutator(right)
         self.error("expected 'c', '(' or '['")
 
@@ -193,22 +213,57 @@ def parse_word(text: str) -> MCGWord:
 def evaluate_word(word: MCGWord, generators) -> SquareMatrix:
     """Multiply out a word in the given generator matrices.
 
-    Inverses are computed exactly (adjugate over the determinant) and
-    cached per call, so long words with repeated inverse letters stay
-    cheap.
+    Each letter right-multiplies the running product once, by the nonzero
+    entries of its generator's power; a twist generator's powers a*I + b*g
+    keep only a few nonzero entries per column.
     """
     gens = tuple(generators)
     if len(gens) != NUM_GENERATORS:
         raise ValueError(f"expected {NUM_GENERATORS} generator matrices")
-    dim = gens[0].dim
-    inverses: dict[int, SquareMatrix] = {}
-    result = SquareMatrix.identity(dim)
-    for gen, exp in word.letters:
-        if exp > 0:
-            base = gens[gen - 1]
-        else:
-            if gen not in inverses:
-                inverses[gen] = matrix_inverse(gens[gen - 1])
-            base = inverses[gen]
-        result = result * base ** abs(exp)
-    return result
+    factors = _sparse_factors(gens)
+    rows = SquareMatrix.identity(gens[0].dim).entries
+    for letter in word.letters:
+        if letter not in factors:
+            factors[letter] = _letter_factor(gens, factors, *letter)
+        columns = factors[letter][1]
+        rows = [tuple(_sparse_dot(row, col) for col in columns) for row in rows]
+    return SquareMatrix(rows)
+
+
+@lru_cache(maxsize=4)
+def _sparse_factors(gens: tuple) -> dict:
+    """Per letter (generator, exponent): its matrix and nonzero columns.
+
+    Filled lazily by :func:`evaluate_word` and kept for the few most
+    recently used generator tuples, so each inverse is computed once per
+    tuple, not once per call.
+    """
+    return {}
+
+
+def _letter_factor(gens: tuple, factors: dict, gen: int, exp: int) -> tuple:
+    """The matrix of c_gen^exp and its nonzero columns; the inverse is kept under (gen, -1)."""
+    if exp < 0 and (gen, -1) not in factors:
+        inverse = matrix_inverse(gens[gen - 1])
+        factors[(gen, -1)] = (inverse, _nonzero_columns(inverse))
+    base = gens[gen - 1] if exp > 0 else factors[(gen, -1)][0]
+    matrix = base if abs(exp) == 1 else base ** abs(exp)
+    return matrix, _nonzero_columns(matrix)
+
+
+def _nonzero_columns(matrix: SquareMatrix) -> tuple:
+    """Per column j, the (k, entry) pairs of its nonzero entries."""
+    return tuple(
+        tuple((k, row[j]) for k, row in enumerate(matrix.entries) if row[j])
+        for j in range(matrix.dim)
+    )
+
+
+def _sparse_dot(row: tuple, column: tuple):
+    acc = None
+    for k, entry in column:
+        x = row[k]
+        if x:
+            term = x * entry
+            acc = term if acc is None else acc + term
+    return 0 if acc is None else acc

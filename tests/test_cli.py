@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from g2jones import cli
 from g2jones.characters import CharacterTable
 from g2jones.cli import CACHE_FILENAME, main
 from g2jones.rep import rep_from_document, rep_to_document
@@ -88,6 +89,22 @@ class TestValidate:
         assert main(["validate", "--rep", str(bad)]) == 3
         assert "schema error" in capsys.readouterr().err
 
+    def test_cache_is_written_whole_and_leaves_no_temporary(self, workdir, capsys):
+        assert main(["validate", "--json"]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in workdir.iterdir()) == [CACHE_FILENAME]
+        cached = json.loads((workdir / CACHE_FILENAME).read_text(encoding="utf-8"))
+        assert rep_to_document(rep_from_document(cached)) == cached
+
+    def test_failed_cache_write_leaves_nothing_behind(self, workdir, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main(["validate"]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
     def test_mathematically_broken_rep_is_exit_2(self, workdir, rep6, capsys):
         doc = rep_to_document(rep6)
         doc["generators"][0][0][1].append([99, "1"])  # schema-valid, math-invalid
@@ -144,6 +161,20 @@ class TestAnalyze:
     def test_bad_expression_is_exit_2(self, workdir, rep_file, capsys):
         assert main(["analyze", "--rep", rep_file, "--word", "c9"]) == 2
         assert "c9" in capsys.readouterr().err
+
+    def test_deeply_nested_expression_is_exit_2(self, workdir, rep_file, capsys):
+        word = "(" * 3000 + "c1" + ")" * 3000
+        assert main(["analyze", "--rep", rep_file, "--word", word]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+    def test_long_word_error_is_shortened(self, workdir, rep_file, capsys):
+        code = main(["analyze", "--rep", rep_file, "--word", "(c1 c2)^301",
+                     "--case", "plus", "--json"])
+        assert code == 2
+        entry = json.loads(capsys.readouterr().out)["reports"][0]
+        assert entry["error"] == "NOT_TORELLI"
+        assert entry["message"].endswith("(602 letters) acts nontrivially on homology")
+        assert entry["message"].count("c1") == 4
 
     def test_order_below_two_is_schema_error(self, workdir, rep_file, capsys):
         code = main(["analyze", "--rep", rep_file, "--word", "(c1 c2)^6", "--order", "1"])

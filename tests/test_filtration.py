@@ -14,21 +14,26 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2jones import (
     DEFAULT_ORDER,
     LaurentPoly,
     MCGWord,
     RepDefinition,
+    TruncSeries,
     analyze,
     check_bracket,
     check_delta_additivity,
     check_equivariance,
     degree0_matrix,
+    determinant_by_permutations,
     evaluate_word,
     laurent_to_series,
     matrix_determinant,
+    matrix_trace,
     parse_word,
+    series_matrix_valuation,
     verify_det_lemma,
     word_series,
 )
@@ -36,8 +41,10 @@ from g2jones.errors import (
     Degree0NontrivialError,
     DepthMismatchError,
     NotTorelliError,
+    NotUnipotentError,
     ValuationExceedsOrderError,
 )
+from g2jones.filtration import _det_identity_holds
 from g2jones.matrices import SquareMatrix
 
 X12 = parse_word("(c1 c2)^6")
@@ -141,6 +148,11 @@ class TestAnalyze:
         with pytest.raises(ValuationExceedsOrderError):
             analyze(rep6, MCGWord.identity(), 1)
 
+    def test_a_huge_order_on_a_trivial_word_ends_at_once(self, rep6):
+        with pytest.raises(ValuationExceedsOrderError) as info:
+            analyze(rep6, parse_word("(c1 c2 c3 c4 c5)^6"), -1, order=10 ** 9)
+        assert info.value.order == 10 ** 9
+
     def test_degree_zero_obstruction(self, rep6):
         # flip the sign of c1 only: the braid relator stays symplectically
         # trivial but now has constant term -I
@@ -213,6 +225,16 @@ class TestDetLemma:
     def test_low_order_still_works(self, rep6):
         assert verify_det_lemma(rep6, X12, 1, order=2)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_identity_fails_on_a_wrong_leading_trace(self, rep6, eps):
+        # the determinant reads the image's own moments, so a leading
+        # matrix whose trace disagrees with them is caught
+        image = evaluate_word(X12, rep6.generators)
+        report = analyze(rep6, X12, eps)
+        assert _det_identity_holds(image, eps, report.depth, report.delta)
+        shifted = report.delta + SquareMatrix.identity(5)
+        assert not _det_identity_holds(image, eps, report.depth, shifted)
+
 
 class TestStructure:
     def test_additivity_on_equal_depth_pairs(self, rep6):
@@ -281,3 +303,133 @@ class TestStructure:
     def test_bracket_beyond_order(self, rep6):
         with pytest.raises(ValuationExceedsOrderError):
             check_bracket(rep6, X12.commutator(X23), X34, 1, order=2)
+
+
+# ------------------------------------------------------------------
+# The reports read h-adic coefficients as integer moments of the
+# Laurent image, up to the depth.  The series route below (substitute
+# u = eps * e^h at order 12, then take the valuation) is the reference.
+
+ORACLE_ORDER = 12
+
+
+def _series_coefficient(series, t):
+    dim = series.dim
+    return SquareMatrix(tuple(
+        tuple(series.entry(i, j).coefficient(t) for j in range(dim)) for i in range(dim)
+    ))
+
+
+def series_analysis(rep, word, eps):
+    """(depth, lead, det identity holds) by the series route."""
+    series = word_series(rep, word, eps, ORACLE_ORDER)
+    depth, lead = series_matrix_valuation(series)
+    expected = [1] + [0] * (depth - 1) + [matrix_trace(lead)]
+    det = determinant_by_permutations(series).truncate(depth)
+    return depth, lead, det == TruncSeries(depth, expected)
+
+
+def series_coefficient_at(rep, word, eps, k):
+    """Whether the series is I + O(h^k), and its h^k coefficient."""
+    series = word_series(rep, word, eps, ORACLE_ORDER)
+    dim = series.dim
+    below = _series_coefficient(series, 0) == SquareMatrix.identity(dim) and all(
+        _series_coefficient(series, t) == SquareMatrix.zero(dim) for t in range(1, k)
+    )
+    return below, _series_coefficient(series, k)
+
+
+def _sixth_power(i):
+    return (MCGWord.generator(i) * MCGWord.generator(i + 1)) ** 6
+
+
+short_words = st.lists(
+    st.tuples(st.integers(1, 5), st.sampled_from((-2, -1, 1, 2))), max_size=4,
+).map(lambda letters: MCGWord(tuple(letters)))
+conjugates = st.builds(
+    lambda g, i: g * _sixth_power(i) * g.inverse(), short_words, st.integers(1, 4)
+)
+commutators = st.builds(lambda x, y: x.commutator(y), conjugates, conjugates)
+signs = st.sampled_from((1, -1))
+
+
+def assert_analysis_matches_series(rep, word, eps):
+    try:
+        expected = series_analysis(rep, word, eps)
+    except ValuationExceedsOrderError:
+        with pytest.raises(ValuationExceedsOrderError):
+            analyze(rep, word, eps, ORACLE_ORDER)
+        return
+    report = analyze(rep, word, eps, ORACLE_ORDER)
+    assert (report.depth, report.delta, report.det_lemma_ok) == expected
+    assert report.order == ORACLE_ORDER
+
+
+class TestMomentsAgainstSeries:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_catalog(self, rep6, catalog, eps):
+        for _, word in catalog:
+            assert_analysis_matches_series(rep6, word, eps)
+
+    @settings(deadline=None, max_examples=25)
+    @given(word=st.one_of(conjugates, commutators), eps=signs)
+    def test_generated_torelli_words(self, rep6, word, eps):
+        assert_analysis_matches_series(rep6, word, eps)
+
+    @settings(deadline=None, max_examples=20)
+    @given(x=conjugates, y=st.one_of(conjugates, commutators), eps=signs)
+    def test_additivity(self, rep6, x, y, eps):
+        try:
+            dx, lx, _ = series_analysis(rep6, x, eps)
+            dy, ly, _ = series_analysis(rep6, y, eps)
+        except ValuationExceedsOrderError:
+            return
+        if dx != dy:
+            with pytest.raises(DepthMismatchError):
+                check_delta_additivity(rep6, x, y, eps, ORACLE_ORDER)
+            return
+        below, actual = series_coefficient_at(rep6, x * y, eps, dx)
+        check = check_delta_additivity(rep6, x, y, eps, ORACLE_ORDER)
+        assert check.actual == actual
+        assert check.expected == lx + ly
+        assert check.holds == (below and actual == lx + ly)
+        assert check.holds
+
+    @settings(deadline=None, max_examples=20)
+    @given(x=conjugates, y=conjugates, eps=signs)
+    def test_bracket(self, rep6, x, y, eps):
+        dx, lx, _ = series_analysis(rep6, x, eps)
+        dy, ly, _ = series_analysis(rep6, y, eps)
+        below, actual = series_coefficient_at(rep6, x.commutator(y), eps, dx + dy)
+        check = check_bracket(rep6, x, y, eps, ORACLE_ORDER)
+        assert check.actual == actual
+        assert check.expected == lx * ly - ly * lx
+        assert check.holds == (below and actual == check.expected)
+        assert check.holds
+
+    def test_verify_det_lemma_rejects_nonunipotent_images(self, rep6):
+        gens = (-rep6.generators[0],) + rep6.generators[1:]
+        broken = RepDefinition(dim=5, generators=gens, normalization=None,
+                               provenance="constructed")
+        with pytest.raises(NotUnipotentError):
+            verify_det_lemma(broken, parse_word("c1 c2 c1 c2^-1 c1^-1 c2^-1"), 1)
+
+
+class TestErrorMessages:
+    def test_not_torelli_quotes_a_shortened_word(self, rep6):
+        word = parse_word("(c1 c2)^301")
+        with pytest.raises(NotTorelliError) as info:
+            analyze(rep6, word, 1)
+        message = str(info.value)
+        assert "(602 letters)" in message
+        assert len(message) < 120
+
+    def test_degree0_error_quotes_a_shortened_word(self, rep6):
+        gens = (-rep6.generators[0],) + rep6.generators[1:]
+        broken = RepDefinition(dim=5, generators=gens, normalization=None,
+                               provenance="constructed")
+        relator = parse_word("c1 c2 c1 c2^-1 c1^-1 c2^-1")
+        with pytest.raises(Degree0NontrivialError) as info:
+            analyze(broken, relator ** 51, 1)
+        assert "(306 letters)" in str(info.value)
+        assert len(str(info.value)) < 160

@@ -112,6 +112,15 @@ class TestLaurentPoly:
     def test_hashable_and_usable_in_sets(self):
         assert len({U, LaurentPoly.variable(), U + 1}) == 2
 
+    def test_monomial_products_match_point_evaluation(self):
+        rng = random.Random(20260102)
+        for _ in range(300):
+            p = rand_poly(rng, terms=8)
+            m = LaurentPoly.monomial(rng.randint(-6, 6), rng.choice((-3, -1, 1, 2)))
+            for x in (Fraction(2), Fraction(-3), Fraction(1, 2)):
+                assert (m * p).evaluate(x) == m.evaluate(x) * p.evaluate(x)
+                assert (p * m).evaluate(x) == m.evaluate(x) * p.evaluate(x)
+
 
 class TestTruncSeries:
     def test_order_is_part_of_identity(self):

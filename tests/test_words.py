@@ -3,9 +3,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from g2jones import MCGWord, abelianization_class, evaluate_word, parse_word, symplectic_generators
+from g2jones import (
+    MCGWord,
+    abelianization_class,
+    build_rep,
+    evaluate_word,
+    parse_word,
+    symplectic_generators,
+    words,
+)
 from g2jones.errors import BadGeneratorError, ParseError
 from g2jones.matrices import SquareMatrix, matrix_inverse
 
@@ -128,6 +136,28 @@ class TestParser:
     def test_bad_generator_is_a_parse_error(self):
         assert issubclass(BadGeneratorError, ParseError)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        for text in ("(" * 3000 + "c1" + ")" * 3000, "[" * 3000 + "c1, c2" + "]" * 3000):
+            with pytest.raises(ParseError) as info:
+                parse_word(text)
+            assert info.value.position == words.MAX_NESTING
+
+    def test_nesting_up_to_the_cap_parses(self):
+        depth = words.MAX_NESTING
+        assert parse_word("(" * depth + "c1" + ")" * depth) == C[1]
+        with pytest.raises(ParseError):
+            parse_word("(" * (depth + 1) + "c1" + ")" * (depth + 1))
+
+
+class TestAbbreviated:
+    def test_short_words_print_in_full(self):
+        w = parse_word("c1 c2^-3 c1")
+        assert w.abbreviated() == str(w)
+
+    def test_long_words_are_cut_with_their_length(self):
+        w = parse_word("(c1 c2)^301")
+        assert w.abbreviated() == "c1 c2 c1 c2 c1 c2 c1 c2 \u2026 (602 letters)"
+
 
 class TestEvaluation:
     def test_identity_word_gives_identity_matrix(self):
@@ -152,3 +182,73 @@ class TestEvaluation:
         gens = symplectic_generators()
         for i in range(1, 6):
             assert evaluate_word(C[i], gens) == gens[i - 1]
+
+
+def dense_product(word, gens):
+    """The reference: dense matrix products of generator powers."""
+    result = SquareMatrix.identity(gens[0].dim)
+    for gen, exp in word.letters:
+        result = result * gens[gen - 1] ** exp
+    return result
+
+
+short_letters = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=-3, max_value=3).filter(lambda e: e != 0),
+    ),
+    max_size=8,
+)
+LAURENT_GENERATORS = build_rep(1, -4, 5).generators
+
+
+class TestSparseEvaluation:
+    @settings(deadline=None)
+    @given(short_letters)
+    def test_matches_dense_product_over_symplectic_generators(self, letters):
+        word = MCGWord(tuple(letters))
+        gens = symplectic_generators()
+        assert evaluate_word(word, gens) == dense_product(word, gens)
+
+    @settings(deadline=None, max_examples=40)
+    @given(short_letters, st.sampled_from((1, -1)))
+    def test_matches_dense_product_over_laurent_generators(self, letters, eta):
+        word = MCGWord(tuple(letters))
+        gens = LAURENT_GENERATORS if eta == 1 else build_rep(-1, -4, 5).generators
+        assert evaluate_word(word, gens) == dense_product(word, gens)
+
+    def test_high_powers_match_dense_product(self):
+        word = parse_word("c1^20 c2^-13 c3^7 c1^-7 c4 c5^-30")
+        for gens in (LAURENT_GENERATORS, symplectic_generators()):
+            assert evaluate_word(word, gens) == dense_product(word, gens)
+
+    def test_cached_inverses_match_matrix_inverse(self):
+        for gens in (LAURENT_GENERATORS, symplectic_generators()):
+            for i in range(1, 6):
+                inverse = evaluate_word(MCGWord.generator(i, -1), gens)
+                assert inverse == matrix_inverse(gens[i - 1])
+                assert inverse * gens[i - 1] == SquareMatrix.identity(gens[0].dim)
+
+    def test_each_inverse_is_computed_once_per_generator_tuple(self, monkeypatch):
+        calls = []
+
+        def counting_inverse(matrix):
+            calls.append(matrix)
+            return matrix_inverse(matrix)
+
+        monkeypatch.setattr(words, "matrix_inverse", counting_inverse)
+        words._sparse_factors.cache_clear()
+        gens = build_rep(1, -4, 5).generators
+        word = parse_word("c1^-2 c2 c1^-1 c3^-3 c1^-2")
+        first = evaluate_word(word, gens)
+        assert evaluate_word(word, gens) == first
+        assert len(calls) == 2  # c1 and c3, each once
+
+    def test_memo_is_bounded_and_keeps_recent_tuples(self):
+        gens = build_rep(1, -4, 5).generators
+        for n in range(5, 14):
+            evaluate_word(C[1], build_rep(1, -n, 5).generators)
+            evaluate_word(C[1], gens)
+        info = words._sparse_factors.cache_info()
+        assert info.currsize <= info.maxsize == 4
+        assert (1, 1) in words._sparse_factors(gens)  # c1 was kept
