@@ -47,6 +47,10 @@ from .words import parse_word
 
 CACHE_FILENAME = "g2jones-rep.json"
 
+# the one map between case names and signs; "both" means every sign in order
+_CASES = {"plus": 1, "minus": -1}
+_CASE_CHOICES = (*_CASES, "both")
+
 EXPECTED_MULTIPLICITIES = {
     (6,): 1,
     (4, 2): 1,
@@ -97,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--word", action="append", default=[],
                            help="word expression; repeatable")
     p_analyze.add_argument("--catalog", help="file of word expressions, one per line")
-    p_analyze.add_argument("--case", choices=("plus", "minus", "both"), default="both",
+    p_analyze.add_argument("--case", choices=_CASE_CHOICES, default="both",
                            help="sign of u = eps * e^h (default both)")
     p_analyze.add_argument("--order", type=int, default=DEFAULT_ORDER,
                            help=f"series truncation order (default {DEFAULT_ORDER})")
@@ -107,14 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="isotypic decomposition of the conjugation module")
     _add_rep_options(p_decompose)
     _add_output_options(p_decompose)
-    p_decompose.add_argument("--case", choices=("plus", "minus", "both"), default="both")
+    p_decompose.add_argument("--case", choices=_CASE_CHOICES, default="both")
     p_decompose.add_argument("--chartable",
                              help="use a character table from this file instead of computing it")
     p_decompose.set_defaults(func=_cmd_decompose)
 
     p_search = sub.add_parser("search", help="scan normalization exponents")
     _add_output_options(p_search)
-    p_search.add_argument("--eta", choices=("plus", "minus", "both"), default="both")
+    p_search.add_argument("--eta", choices=_CASE_CHOICES, default="both")
     p_search.add_argument("--max-a", type=int, default=8,
                           help="scan a in [-max_a, 0] (default 8)")
     p_search.add_argument("--max-m", type=int, default=6,
@@ -227,8 +231,13 @@ _ANALYZE_ERRORS = {
 }
 
 
-def _cases(choice: str):
-    return {"plus": (1,), "minus": (-1,), "both": (1, -1)}[choice]
+def _cases(choice: str) -> tuple[int, ...]:
+    """Signs eps of u = eps * e^h named by a --case or --eta choice."""
+    return tuple(_CASES.values()) if choice == "both" else (_CASES[choice],)
+
+
+def _case_label(eps: int) -> str:
+    return next(label for label, sign in _CASES.items() if sign == eps)
 
 
 def _cmd_analyze(args) -> int:
@@ -277,7 +286,7 @@ def _cmd_analyze(args) -> int:
     }
     lines = [f"analyzed {len(words)} word(s), order {args.order}"]
     for entry in entries:
-        label = "plus" if entry["epsilon"] == 1 else "minus"
+        label = _case_label(entry["epsilon"])
         if "error" in entry:
             lines.append(f"  {entry['word']} [{label}]: {entry['error']}: {entry['message']}")
             if "hint" in entry:
@@ -306,7 +315,7 @@ def _cmd_decompose(args) -> int:
     cases = {}
     all_ok = True
     for eps in _cases(args.case):
-        label = "plus" if eps == 1 else "minus"
+        label = _case_label(eps)
         module = ConjugationModule.from_rep(rep, eps, table)
         mults = module.multiplicities()
         ranks = {
@@ -360,11 +369,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    etas = {"plus": (1,), "minus": (-1,), "both": (1, -1)}[args.eta]
     if args.max_a < 0 or args.max_m < 1:
         raise SchemaError("--max-a must be >= 0 and --max-m >= 1")
     rep = search_valid_rep(
-        eta_candidates=etas,
+        eta_candidates=_cases(args.eta),
         a_values=range(-args.max_a, 1),
         m_values=range(1, args.max_m + 1),
     )

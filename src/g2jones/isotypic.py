@@ -19,6 +19,8 @@ coefficient in any matrix is trace / 5, exposed as
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, mul, sub
 
 from .errors import GroupClosureError, NotInvolutiveError, RelationFailureError
 from .characters import CharacterTable
@@ -46,7 +48,7 @@ def _adjacent_transposition(i: int, n: int = 6) -> Perm:
 
 def _compose(sigma: Perm, tau: Perm) -> Perm:
     """(sigma . tau)(x) = sigma(tau(x))."""
-    return tuple(sigma[t] for t in tau)
+    return tuple(map(sigma.__getitem__, tau))
 
 
 def _invert(sigma: Perm) -> Perm:
@@ -128,38 +130,100 @@ def verify_coxeter(generators) -> None:
 def group_closure(generators, cap: int = 1000) -> dict[Perm, SquareMatrix]:
     """Map from permutations to matrices, built by breadth-first closure.
 
-    Every rediscovered element must agree with the stored matrix, which
-    makes the closure a whole-group homomorphism check.  Exceeding the
-    cap raises :class:`GroupClosureError`.
+    Each step left-multiplies a known image by a generator image:
+    rho(s_i . sigma) = rho(s_i) rho(sigma).  Only the rows where the
+    generator differs from the identity are recomputed, as integer
+    combinations of the known rows; the others are shared.  Every
+    rediscovered element must agree with the stored matrix, which makes
+    the closure a whole-group homomorphism check.  Exceeding the cap
+    raises :class:`GroupClosureError`.
     """
     gens = tuple(generators)
     verify_coxeter(gens)
     n = 6
     identity_perm = tuple(range(n))
-    table: dict[Perm, SquareMatrix] = {identity_perm: SquareMatrix.identity(gens[0].dim)}
+    steps = [
+        (_adjacent_transposition(i, n), _moved_rows(g)) for i, g in enumerate(gens, 1)
+    ]
+    rows_of: dict[Perm, tuple] = {identity_perm: SquareMatrix.identity(gens[0].dim).entries}
     frontier = [identity_perm]
-    gen_perms = [_adjacent_transposition(i, n) for i in range(1, n)]
     while frontier:
         next_frontier = []
         for sigma in frontier:
-            base = table[sigma]
-            for perm, matrix in zip(gen_perms, gens):
-                product = _compose(sigma, perm)
-                image = base * matrix
-                known = table.get(product)
+            base = rows_of[sigma]
+            for perm, moved in steps:
+                product = _compose(perm, sigma)
+                rows = list(base)
+                for r, terms in moved:
+                    rows[r] = _combine_rows(base, terms)
+                rows = tuple(rows)
+                known = rows_of.get(product)
                 if known is None:
-                    table[product] = image
+                    rows_of[product] = rows
                     next_frontier.append(product)
-                    if len(table) > cap:
+                    if len(rows_of) > cap:
                         raise GroupClosureError(
                             f"closure exceeded {cap} elements without stabilizing"
                         )
-                elif known != image:
+                elif known != rows:
                     raise RelationFailureError(
                         "group closure inconsistency: images do not define a homomorphism"
                     )
         frontier = next_frontier
-    return table
+    return {sigma: SquareMatrix(rows) for sigma, rows in rows_of.items()}
+
+
+def _moved_rows(matrix: SquareMatrix) -> tuple:
+    """Per row that is not the unit row e_r: (r, its nonzero (k, entry) pairs)."""
+    units = SquareMatrix.identity(matrix.dim).entries
+    return tuple(
+        (r, tuple((k, x) for k, x in enumerate(row) if x))
+        for r, row in enumerate(matrix.entries)
+        if row != units[r]
+    )
+
+
+def _combine_rows(rows: tuple, terms: tuple) -> tuple:
+    """sum(entry * rows[k] for k, entry in terms), as a tuple.
+
+    Built from lazy element-wise maps; unit entries add or subtract a row
+    without multiplying it.  ``terms`` is never empty: the generators
+    passed :func:`verify_coxeter`, so they are invertible.
+    """
+    (k, entry), *rest = terms
+    acc = rows[k] if entry == 1 else map(mul, repeat(entry), rows[k])
+    for k, entry in rest:
+        if entry == 1:
+            acc = map(add, acc, rows[k])
+        elif entry == -1:
+            acc = map(sub, acc, rows[k])
+        else:
+            acc = map(add, acc, map(mul, repeat(entry), rows[k]))
+    return tuple(acc)
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per balanced slot holding any integer in [-bound, bound]."""
+    return bound.bit_length() + 1
+
+
+def _pack(values, width: int) -> int:
+    """One integer with values[q] in the balanced slot at bit width * q."""
+    packed = 0
+    for q, value in enumerate(values):
+        if value:
+            packed += value << (width * q)
+    return packed
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """Inverse of :func:`_pack` for slots in [-2^(width-1), 2^(width-1))."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    # biased by half per slot (a geometric series), every slot becomes a
+    # nonnegative base-2^width digit
+    biased = packed + half * (((1 << (width * count)) - 1) // mask)
+    return [((biased >> (width * q)) & mask) - half for q in range(count)]
 
 
 class ConjugationModule:
@@ -210,45 +274,55 @@ class ConjugationModule:
 
         Operators act on row-major vec coordinates (matrix entry (i, j)
         lands at index dim*i + j); each is kron(g, (g^-1)^T) with integer
-        entries.
+        entries, so the sum's entry (dim*i + k, dim*j + l) is the class
+        total of g[i][j] * g^-1[l][k].  Each g^-1 is packed into one
+        integer with a balanced slot per entry (:func:`_pack`) and added
+        g[i][j] times to the class accumulator of (i, j).  No slot ever
+        exceeds |G| * M^2 in size, M the largest entry size in the image,
+        and the slot width holds that bound.
         """
         if self._class_sums is not None:
             return self._class_sums
         dim = self.dim
         size = dim * dim
-        sums = {
-            mu: [[0] * size for _ in range(size)] for mu in self.table.partitions
+        vecs = {
+            sigma: [x for row in m.entries for x in row] for sigma, m in self.image.items()
         }
-        for sigma, matrix in self.image.items():
-            inverse = self.image[_invert(sigma)]
-            acc = sums[cycle_type(sigma)]
-            g = matrix.entries
-            ginv_t = tuple(zip(*inverse.entries))
-            for i in range(dim):
-                for j in range(dim):
-                    gij = g[i][j]
-                    if not gij:
-                        continue
-                    for k in range(dim):
-                        row = acc[dim * i + k]
-                        gt_row = ginv_t[k]
-                        for l in range(dim):
-                            row[dim * j + l] += gij * gt_row[l]
-        self._class_sums = {
-            mu: SquareMatrix(tuple(tuple(r) for r in rows)) for mu, rows in sums.items()
-        }
+        largest = max(max(map(abs, v)) for v in vecs.values())
+        width = _slot_width(len(vecs) * largest * largest)
+        packed = {sigma: _pack(v, width) for sigma, v in vecs.items()}
+        totals = {mu: [0] * size for mu in self.table.partitions}
+        for sigma, v in vecs.items():
+            acc = totals[cycle_type(sigma)]
+            inverse = packed[_invert(sigma)]
+            for p, x in enumerate(v):
+                if x:
+                    acc[p] += x * inverse
+        self._class_sums = {}
+        for mu, acc in totals.items():
+            rows = [[0] * size for _ in range(size)]
+            for p, total in enumerate(acc):
+                i, j = divmod(p, dim)
+                values = _unpack(total, width, size)
+                for k in range(dim):
+                    # slots dim*l + k, l = 0..dim-1, fill row dim*i + k
+                    rows[dim * i + k][dim * j:dim * (j + 1)] = values[k::dim]
+            self._class_sums[mu] = SquareMatrix(tuple(map(tuple, rows)))
         return self._class_sums
 
     def projector_numerator(self, lam: tuple[int, ...]) -> SquareMatrix:
         """Integer matrix Q with projector = (dim_lam / 720) * Q."""
         sums = self.class_sums()
         size = self.dim * self.dim
-        acc = SquareMatrix.zero(size)
+        acc = [0] * (size * size)
         for mu in self.table.partitions:
             chi = self.table.value(lam, mu)
             if chi:
-                acc = acc + sums[mu] * chi
-        return acc
+                flat = chain.from_iterable(sums[mu].entries)
+                acc = [a + chi * x for a, x in zip(acc, flat)]
+        return SquareMatrix(tuple(
+            tuple(acc[size * r:size * (r + 1)]) for r in range(size)
+        ))
 
     def projector(self, lam: tuple[int, ...]) -> SquareMatrix:
         """Averaged isotypic projector with Fraction entries."""

@@ -275,11 +275,14 @@ def series_matrix_valuation(matrix: SquareMatrix) -> tuple[int, SquareMatrix]:
 def exact_rank(matrix: SquareMatrix) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination.
 
-    Entries must be ints or Fractions; each row is scaled to integers
-    first, which does not change the rank.
+    Entries must be ints or Fractions; each row with a Fraction entry is
+    scaled to integers first, which does not change the rank.
     """
     rows = []
     for row in matrix.entries:
+        if all(isinstance(x, int) for x in row):
+            rows.append(list(row))
+            continue
         fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
         scale = 1
         for f in fracs:

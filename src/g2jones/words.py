@@ -10,13 +10,15 @@ The expression grammar is
 
 with whitespace allowed between tokens.  Brackets are group commutators:
 [x, y] = x y x^-1 y^-1.  Parentheses and brackets nest at most
-``MAX_NESTING`` deep.
+``MAX_NESTING`` deep, and an expression spells out at most
+``MAX_LETTERS`` letters before free reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import BadGeneratorError, ParseError
 from .matrices import SquareMatrix, matrix_inverse
@@ -109,6 +111,9 @@ def abelianization_class(word: MCGWord) -> int:
 
 # deepest bracket nesting accepted; the parser recurses once per level
 MAX_NESTING = 100
+# most letters an expression may spell out: c_i counts 1, x^n counts
+# |n| times x, [x, y] counts twice x plus y; checked before anything is built
+MAX_LETTERS = 10_000
 
 
 class _Parser:
@@ -120,6 +125,11 @@ class _Parser:
     def error(self, message: str, cls=ParseError):
         raise cls(message, self.pos)
 
+    def checked_length(self, letters: int) -> int:
+        if letters > MAX_LETTERS:
+            self.error(f"word spells out more than {MAX_LETTERS} letters")
+        return letters
+
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -127,31 +137,39 @@ class _Parser:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_word(self, closers: str = "") -> MCGWord:
+    # parse_word, parse_atom and parse_base return the word and the number
+    # of letters its text spells out, so a power or a commutator is
+    # checked against MAX_LETTERS before it is expanded
+
+    def parse_word(self, closers: str = "") -> tuple[MCGWord, int]:
         atoms = []
+        letters = 0
         self.skip_ws()
         while True:
             ch = self.peek()
             if not ch or ch in closers:
                 break
-            atoms.append(self.parse_atom())
+            atom, length = self.parse_atom()
+            letters = self.checked_length(letters + length)
+            atoms.append(atom)
             self.skip_ws()
         if not atoms:
             self.error("expected a word")
-        result = atoms[0]
-        for atom in atoms[1:]:
-            result = result * atom
-        return result
+        # one free reduction of all atoms: pairwise products would reduce
+        # the growing prefix again for every atom
+        return MCGWord(tuple(chain.from_iterable(a.letters for a in atoms))), letters
 
-    def parse_atom(self) -> MCGWord:
-        base = self.parse_base()
+    def parse_atom(self) -> tuple[MCGWord, int]:
+        base, letters = self.parse_base()
         self.skip_ws()
         if self.peek() == "^":
             self.pos += 1
-            return base ** self.parse_int()
-        return base
+            exponent = self.parse_int()
+            letters = self.checked_length(letters * abs(exponent))
+            return base ** exponent, letters
+        return base, letters
 
-    def parse_base(self) -> MCGWord:
+    def parse_base(self) -> tuple[MCGWord, int]:
         ch = self.peek()
         if ch in ("(", "[") and self.nesting == MAX_NESTING:
             self.error(f"brackets nested deeper than {MAX_NESTING}")
@@ -163,7 +181,7 @@ class _Parser:
             if digit not in "12345":
                 self.error(f"generator c{digit} outside c1..c5", BadGeneratorError)
             self.pos += 1
-            return MCGWord.generator(int(digit))
+            return MCGWord.generator(int(digit)), 1
         if ch == "(":
             self.pos += 1
             self.nesting += 1
@@ -176,16 +194,17 @@ class _Parser:
         if ch == "[":
             self.pos += 1
             self.nesting += 1
-            left = self.parse_word(closers=",")
+            left, left_letters = self.parse_word(closers=",")
             if self.peek() != ",":
                 self.error("expected ',' in commutator")
             self.pos += 1
-            right = self.parse_word(closers="]")
+            right, right_letters = self.parse_word(closers="]")
             if self.peek() != "]":
                 self.error("unclosed '['")
             self.pos += 1
             self.nesting -= 1
-            return left.commutator(right)
+            letters = self.checked_length(2 * (left_letters + right_letters))
+            return left.commutator(right), letters
         self.error("expected 'c', '(' or '['")
 
     def parse_int(self) -> int:
@@ -197,13 +216,16 @@ class _Parser:
             self.error("expected an integer exponent")
         while self.peek().isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            self.error("exponent has too many digits")
 
 
 def parse_word(text: str) -> MCGWord:
     """Parse a word expression; see the module docstring for the grammar."""
     parser = _Parser(text)
-    word = parser.parse_word()
+    word, _ = parser.parse_word()
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("unexpected trailing input")

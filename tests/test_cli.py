@@ -167,6 +167,14 @@ class TestAnalyze:
         assert main(["analyze", "--rep", rep_file, "--word", word]) == 2
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", [
+        "c1^1000000000",
+        "[" * 30 + "c1, c2]" + ", c3]" * 29,
+    ])
+    def test_word_beyond_the_letter_cap_is_exit_2(self, workdir, rep_file, capsys, word):
+        assert main(["analyze", "--rep", rep_file, "--word", word]) == 2
+        assert "more than 10000 letters" in capsys.readouterr().err
+
     def test_long_word_error_is_shortened(self, workdir, rep_file, capsys):
         code = main(["analyze", "--rep", rep_file, "--word", "(c1 c2)^301",
                      "--case", "plus", "--json"])

@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from g2jones import (
+    CharacterTable,
     ConjugationModule,
     SquareMatrix,
     build_rep,
@@ -23,6 +25,9 @@ from g2jones.errors import GroupClosureError, NotInvolutiveError, RelationFailur
 from g2jones.isotypic import (
     _compose,
     _invert,
+    _pack,
+    _slot_width,
+    _unpack,
     class_representative,
     cycle_type,
     degree0_generators,
@@ -30,6 +35,7 @@ from g2jones.isotypic import (
     permutation_matrix_image,
     verify_coxeter,
 )
+from g2jones.matrices import matrix_inverse
 
 EXPECTED_MULTS = {(6,): 1, (4, 2): 1, (2, 2, 2): 1, (3, 1, 1, 1): 1}
 EXPECTED_RANKS = {(6,): 1, (4, 2): 9, (2, 2, 2): 5, (3, 1, 1, 1): 10}
@@ -53,6 +59,45 @@ def unvec(values, dim=5):
     return SquareMatrix(tuple(
         tuple(values[dim * i + j] for j in range(dim)) for i in range(dim)
     ))
+
+
+def dense_class_sums(module):
+    """Reference class sums: kron(g, (g^-1)^T) accumulated entry by entry."""
+    dim = module.dim
+    size = dim * dim
+    sums = {mu: [[0] * size for _ in range(size)] for mu in module.table.partitions}
+    for sigma, matrix in module.image.items():
+        inverse = module.image[_invert(sigma)]
+        acc = sums[cycle_type(sigma)]
+        g = matrix.entries
+        ginv_t = tuple(zip(*inverse.entries))
+        for i in range(dim):
+            for j in range(dim):
+                gij = g[i][j]
+                if not gij:
+                    continue
+                for k in range(dim):
+                    row = acc[dim * i + k]
+                    gt_row = ginv_t[k]
+                    for l in range(dim):
+                        row[dim * j + l] += gij * gt_row[l]
+    return {mu: SquareMatrix.from_rows(rows) for mu, rows in sums.items()}
+
+
+def conjugated_generators(rep6):
+    """Degree-0 generators conjugated by a unimodular integer matrix.
+
+    Still a faithful image of S6, with entries well outside {-1, 0, 1}.
+    """
+    p = SquareMatrix.from_rows([
+        [1, 2, 0, -1, 0],
+        [0, 1, 3, 0, 0],
+        [0, 0, 1, 2, -1],
+        [0, 0, 0, 1, 2],
+        [0, 0, 0, 0, 1],
+    ])
+    p_inv = matrix_inverse(p)
+    return tuple(p * g * p_inv for g in degree0_generators(rep6, 1))
 
 
 def apply_operator(op, matrix):
@@ -136,6 +181,52 @@ class TestDegreeZeroGroup:
     def test_closure_cap(self, rep6):
         with pytest.raises(GroupClosureError):
             group_closure(degree0_generators(rep6, 1), cap=100)
+
+
+class TestKernelOracles:
+    """The closure and packed class sums against their slow references."""
+
+    @pytest.mark.parametrize("rep_key,eps", [
+        ("rep6", 1), ("rep6", -1), ("flipped", 1), ("flipped", -1),
+    ])
+    def test_closure_matches_permutation_images(self, rep6, rep_key, eps):
+        rep = rep6 if rep_key == "rep6" else build_rep(-1, -4, 5)
+        gens = degree0_generators(rep, eps)
+        image = group_closure(gens)
+        assert len(image) == 720
+        for sigma, matrix in image.items():
+            assert matrix == permutation_matrix_image(sigma, gens)
+
+    def test_closure_with_large_entries(self, rep6):
+        gens = conjugated_generators(rep6)
+        assert max(abs(x) for g in gens for row in g.entries for x in row) > 1
+        image = group_closure(gens)
+        assert len(image) == 720
+        for sigma, matrix in image.items():
+            assert matrix == permutation_matrix_image(sigma, gens)
+
+    @pytest.mark.parametrize("case", ["plus", "minus"])
+    def test_packed_class_sums_match_dense(self, case, mod_plus, mod_minus):
+        mod = mod_plus if case == "plus" else mod_minus
+        assert mod.class_sums() == dense_class_sums(mod)
+
+    def test_packed_class_sums_with_large_entries(self, rep6):
+        mod = ConjugationModule(conjugated_generators(rep6), CharacterTable.build(6))
+        assert mod.class_sums() == dense_class_sums(mod)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 720, 1023, 1024, 720 * 9, 2 ** 40 - 1])
+    def test_pack_round_trip_at_the_slot_edge(self, bound):
+        width = _slot_width(bound)
+        edge = [bound, -bound, -bound, bound, 0, bound, -bound]
+        assert _unpack(_pack(edge, width), width, len(edge)) == edge
+        # the width is the least that holds +-bound
+        narrow = width - 1
+        assert _unpack(_pack(edge, narrow), narrow, len(edge)) != edge
+
+    @given(st.lists(st.integers(-5000, 5000), min_size=1, max_size=30))
+    def test_pack_round_trip(self, values):
+        width = _slot_width(max(map(abs, values)))
+        assert _unpack(_pack(values, width), width, len(values)) == values
 
 
 class TestDecomposition:

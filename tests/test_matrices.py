@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from g2jones import (
     LaurentPoly,
@@ -295,6 +296,30 @@ class TestExactRank:
                 m = SquareMatrix.from_rows(prod)
                 assert exact_rank(m) == gauss_rank(m)
                 assert exact_rank(m) <= r
+
+    @given(st.data())
+    def test_int_rows_match_fraction_rows(self, data):
+        # rank-deficient integer matrices: an n x r times an r x n product
+        n = data.draw(st.integers(1, 7))
+        r = data.draw(st.integers(0, n))
+
+        def block(rows, cols):
+            row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+            return data.draw(st.lists(row, min_size=rows, max_size=rows))
+
+        left, right = block(n, r), block(r, n)
+        ints = SquareMatrix.from_rows(
+            [sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)]
+            for i in range(n)
+        )
+        fractions = ints.map_entries(Fraction)
+        # a mixed matrix: every other row takes the Fraction route
+        mixed = SquareMatrix.from_rows(
+            row if i % 2 else tuple(map(Fraction, row)) for i, row in enumerate(ints.entries)
+        )
+        rank = exact_rank(ints)
+        assert rank <= r
+        assert rank == exact_rank(fractions) == exact_rank(mixed) == gauss_rank(ints)
 
     def test_fraction_rows(self):
         rng = random.Random(16)

@@ -148,6 +148,68 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_word("(" * (depth + 1) + "c1" + ")" * (depth + 1))
 
+    @staticmethod
+    def _nested_commutators(levels: int) -> str:
+        text = "c1"
+        for level in range(levels):
+            text = f"[{text}, c{level % 4 + 2}]"
+        return text
+
+    @pytest.fixture()
+    def reduced_lengths(self, monkeypatch):
+        """Lengths of the letter tuples every new word reduces, in order."""
+        seen = []
+        reduce = words._reduce
+
+        def recording_reduce(letters):
+            seen.append(len(letters))
+            return reduce(letters)
+
+        monkeypatch.setattr(words, "_reduce", recording_reduce)
+        return seen
+
+    def test_letter_cap_is_checked_before_building(self, reduced_lengths):
+        # small overshoots come first, so a check made after building fails
+        # on them before the huge cases could exhaust memory
+        cases = (
+            "c1^10001", "(c1 c2)^-5001", "[c1^2500, c2^2501]", self._nested_commutators(12),
+            "c1^1000000000", "(c1 c2)^-999999999", self._nested_commutators(40),
+        )
+        for text in cases:
+            with pytest.raises(ParseError, match="more than 10000 letters"):
+                parse_word(text)
+            assert max(reduced_lengths) <= words.MAX_LETTERS, text
+
+    def test_parsing_reduces_each_letter_a_bounded_number_of_times(self, reduced_lengths):
+        text = " ".join(["c1", "c2"] * (words.MAX_LETTERS // 2))
+        assert parse_word(text).letter_length() == words.MAX_LETTERS
+        # each atom is reduced once alone and once in the whole word
+        assert sum(reduced_lengths) == 2 * words.MAX_LETTERS
+
+    def test_words_of_exactly_the_cap_parse(self):
+        assert words.MAX_LETTERS == 10_000
+        assert parse_word("c1^10000").letter_length() == 10_000
+        assert parse_word("(c1 c2)^-5000").letter_length() == 10_000
+        assert parse_word("c3^4000 (c1 c2)^3000").letter_length() == 10_000
+        with pytest.raises(ParseError):
+            parse_word("c3^4001 (c1 c2)^3000")
+
+    def test_spelled_out_length_counts_before_reduction(self):
+        # c1^5000 c1^-5000 reduces to the identity but spells out 10000 letters
+        assert parse_word("c1^5000 c1^-5000").is_identity()
+        with pytest.raises(ParseError):
+            parse_word("c1^5000 c1^-5001")
+
+    def test_nested_commutators_grow_until_the_cap(self):
+        # each level spells out 2 * (previous + 1) letters
+        assert parse_word(self._nested_commutators(11)).letter_length() <= 6142
+        with pytest.raises(ParseError):
+            parse_word(self._nested_commutators(12))
+
+    def test_exponent_with_too_many_digits_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="too many digits"):
+            parse_word("(c1^0)^" + "9" * 5000)
+
 
 class TestAbbreviated:
     def test_short_words_print_in_full(self):
