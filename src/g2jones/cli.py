@@ -302,16 +302,22 @@ def _cmd_analyze(args) -> int:
     return 0 if all_ok else 2
 
 
+def _character_table(args) -> CharacterTable:
+    """The S6 table read from ``--chartable``, or computed when it is not given."""
+    if not args.chartable:
+        return CharacterTable.build(6)
+    with open(args.chartable, "r", encoding="utf-8") as handle:
+        return CharacterTable.from_text(handle.read())
+
+
 def _cmd_decompose(args) -> int:
     rep = _resolve_rep(args)
-    if args.chartable:
-        with open(args.chartable, "r", encoding="utf-8") as handle:
-            table = CharacterTable.from_text(handle.read())
-        if not (table.check_row_orthogonality() and table.check_column_orthogonality()):
-            print("character table fails orthogonality", file=sys.stderr)
-            return 2
-    else:
-        table = CharacterTable.build(6)
+    table = _character_table(args)
+    if args.chartable and not (
+        table.check_row_orthogonality() and table.check_column_orthogonality()
+    ):
+        print("character table fails orthogonality", file=sys.stderr)
+        return 2
     cases = {}
     all_ok = True
     for eps in _cases(args.case):
@@ -387,11 +393,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
-    if args.chartable:
-        with open(args.chartable, "r", encoding="utf-8") as handle:
-            table = CharacterTable.from_text(handle.read())
-    else:
-        table = CharacterTable.build(6)
+    table = _character_table(args)
     rows_ok = table.check_row_orthogonality()
     cols_ok = table.check_column_orthogonality()
     document = {

@@ -69,8 +69,13 @@ class ParseError(G2JonesError):
     """Word expression could not be parsed."""
 
     def __init__(self, message: str, position: int):
+        self.message = message
         self.position = position
         super().__init__(f"{message} (at position {position})")
+
+    def located(self, where: str) -> "ParseError":
+        """The same error, of the same class, with ``where`` before its message."""
+        return type(self)(f"{where}: {self.message}", self.position)
 
 
 class BadGeneratorError(ParseError):

@@ -33,7 +33,7 @@ from .errors import (
     ValuationExceedsOrderError,
 )
 from .matrices import SquareMatrix, determinant_by_permutations, matrix_trace
-from .rep import Normalization, RepDefinition
+from .rep import Normalization, RepDefinition, degree0_generators
 from .rings import LaurentPoly, TruncSeries, laurent_to_series
 from .symplectic import is_torelli
 from .words import MCGWord, evaluate_word
@@ -54,11 +54,8 @@ def word_series(rep: RepDefinition, word: MCGWord, eps: int, order: int) -> Squa
 
 
 def degree0_matrix(rep: RepDefinition, word: MCGWord, eps: int) -> SquareMatrix:
-    """Constant term of the word's series: the Laurent matrix at u = eps."""
-    laurent = evaluate_word(word, rep.generators)
-    return laurent.map_entries(
-        lambda p: p.evaluate_at_sign(eps) if isinstance(p, LaurentPoly) else p
-    )
+    """Constant term of the word's series: the word in the generators at u = eps."""
+    return evaluate_word(word, degree0_generators(rep, eps))
 
 
 @dataclass(frozen=True)
@@ -107,16 +104,6 @@ def _moments(image: SquareMatrix, eps: int):
 
 def _coefficient(moment: SquareMatrix, k: int) -> SquareMatrix:
     return moment.map_entries(lambda x: Fraction(x, factorial(k)))
-
-
-def _coefficient_at(image: SquareMatrix, eps: int, k: int) -> tuple[bool, SquareMatrix]:
-    """Whether the image is I + O(h^k) at u = eps * e^h, and its h^k coefficient."""
-    moments = list(islice(_moments(image, eps), k + 1))
-    zero = SquareMatrix.zero(image.dim)
-    below = moments[0] == SquareMatrix.identity(image.dim) and all(
-        m == zero for m in moments[1:k]
-    )
-    return below, _coefficient(moments[k], k)
 
 
 def _leading_term(image: SquareMatrix, eps: int, order: int, word: MCGWord):
@@ -196,27 +183,46 @@ def verify_det_lemma(rep: RepDefinition, word: MCGWord, eps: int, order: int = D
 
 
 @dataclass(frozen=True)
-class AdditivityCheck:
-    """Outcome of comparing the leading matrix of x*y with the sum for x and y.
+class LeadingTermCheck:
+    """Whether an image is I + O(h^depth) with h^depth coefficient ``expected``.
 
-    ``deeper`` is True when the leading matrices cancel and the product
-    sits strictly deeper in the filtration; that confirms additivity
-    (the sum is zero) rather than refuting it.
+    ``deeper`` is True when that holds with ``expected`` zero: the image
+    sits strictly deeper, which confirms the prediction, not refutes it.
     """
 
     holds: bool
     deeper: bool
     depth: int
     expected: SquareMatrix
-    actual: SquareMatrix | None
+    actual: SquareMatrix
 
     def __bool__(self) -> bool:
         return self.holds
 
 
+def _check_leading_term(
+    image: SquareMatrix, eps: int, depth: int, expected: SquareMatrix
+) -> LeadingTermCheck:
+    """Compare the image at u = eps * e^h with I + h^depth * expected + O(h^(depth+1))."""
+    moments = list(islice(_moments(image, eps), depth + 1))
+    zero = SquareMatrix.zero(image.dim)
+    below = moments[0] == SquareMatrix.identity(image.dim) and all(
+        m == zero for m in moments[1:depth]
+    )
+    actual = _coefficient(moments[depth], depth)
+    holds = below and actual == expected
+    return LeadingTermCheck(
+        holds=holds,
+        deeper=holds and expected == zero,
+        depth=depth,
+        expected=expected,
+        actual=actual,
+    )
+
+
 def check_delta_additivity(
     rep: RepDefinition, x: MCGWord, y: MCGWord, eps: int, order: int = DEFAULT_ORDER
-) -> AdditivityCheck:
+) -> LeadingTermCheck:
     """Leading matrix of x*y against the sum of leading matrices at equal depth.
 
     Requires x and y to have the same depth k; otherwise raises
@@ -230,17 +236,8 @@ def check_delta_additivity(
         raise DepthMismatchError(
             f"depth {rx.depth} for {x} vs depth {ry.depth} for {y}"
         )
-    k = rx.depth
-    expected = rx.delta + ry.delta
-    lower_ok, actual = _coefficient_at(evaluate_word(x * y, rep.generators), eps, k)
-    holds = lower_ok and actual == expected
-    return AdditivityCheck(
-        holds=holds,
-        deeper=holds and expected == SquareMatrix.zero(expected.dim),
-        depth=k,
-        expected=expected,
-        actual=actual,
-    )
+    image = evaluate_word(x * y, rep.generators)
+    return _check_leading_term(image, eps, rx.depth, rx.delta + ry.delta)
 
 
 def check_equivariance(
@@ -260,31 +257,18 @@ def check_equivariance(
     return conjugated.delta == g0 * base.delta * g0_inv
 
 
-@dataclass(frozen=True)
-class BracketCheck:
-    """Outcome of the graded-commutator comparison.
+def check_bracket(
+    rep: RepDefinition, x: MCGWord, y: MCGWord, eps: int, order: int = DEFAULT_ORDER
+) -> LeadingTermCheck:
+    """Compare the commutator word's leading behaviour with the matrix bracket.
 
     For x of depth j and y of depth k, the group commutator [x, y] is
     trivial through h^(j + k - 1) and its coefficient at h^(j + k)
     equals the matrix commutator of the leading matrices.  ``deeper``
     records the case where that commutator vanishes and [x, y] sits
-    strictly deeper.
+    strictly deeper.  Raises :class:`ValuationExceedsOrderError` when
+    j + k exceeds the order.
     """
-
-    holds: bool
-    deeper: bool
-    depth: int
-    expected: SquareMatrix
-    actual: SquareMatrix
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_bracket(
-    rep: RepDefinition, x: MCGWord, y: MCGWord, eps: int, order: int = DEFAULT_ORDER
-) -> BracketCheck:
-    """Compare the commutator word's leading behaviour with the matrix bracket."""
     rx = analyze(rep, x, eps, order)
     ry = analyze(rep, y, eps, order)
     target = rx.depth + ry.depth
@@ -292,15 +276,5 @@ def check_bracket(
         raise ValuationExceedsOrderError(
             order, f"depths {rx.depth} + {ry.depth} exceed order {order}"
         )
-    expected = rx.delta * ry.delta - ry.delta * rx.delta
-    lower_ok, actual = _coefficient_at(
-        evaluate_word(x.commutator(y), rep.generators), eps, target
-    )
-    holds = lower_ok and actual == expected
-    return BracketCheck(
-        holds=holds,
-        deeper=holds and expected == SquareMatrix.zero(expected.dim),
-        depth=target,
-        expected=expected,
-        actual=actual,
-    )
+    image = evaluate_word(x.commutator(y), rep.generators)
+    return _check_leading_term(image, eps, target, rx.delta * ry.delta - ry.delta * rx.delta)

@@ -25,18 +25,10 @@ from operator import add, mul, sub
 from .errors import GroupClosureError, NotInvolutiveError, RelationFailureError
 from .characters import CharacterTable
 from .matrices import SquareMatrix, exact_rank, matrix_trace
-from .rep import RepDefinition
+from .presentation import COXETER_RELATIONS, require_relations
+from .rep import RepDefinition, degree0_generators
 
 Perm = tuple[int, ...]
-
-
-def degree0_generators(rep: RepDefinition, eps: int) -> tuple[SquareMatrix, ...]:
-    """Constant terms of the generators at u = eps; integer matrices."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    return tuple(
-        g.map_entries(lambda p: p.evaluate_at_sign(eps)) for g in rep.generators
-    )
 
 
 def _adjacent_transposition(i: int, n: int = 6) -> Perm:
@@ -111,20 +103,11 @@ def permutation_matrix_image(sigma: Perm, generators) -> SquareMatrix:
 def verify_coxeter(generators) -> None:
     """Involutivity, braid and distant commutation for the constant images."""
     gens = tuple(generators)
-    dim = gens[0].dim
-    identity = SquareMatrix.identity(dim)
+    identity = SquareMatrix.identity(gens[0].dim)
     for i, g in enumerate(gens, 1):
         if g * g != identity:
             raise NotInvolutiveError(f"constant image of c{i} does not square to 1")
-    for i in range(1, len(gens)):
-        a, b = gens[i - 1], gens[i]
-        if a * b * a != b * a * b:
-            raise RelationFailureError(f"braid c{i} c{i + 1} at degree 0")
-    for i in range(1, len(gens) + 1):
-        for j in range(i + 2, len(gens) + 1):
-            a, b = gens[i - 1], gens[j - 1]
-            if a * b != b * a:
-                raise RelationFailureError(f"commute c{i} c{j} at degree 0")
+    require_relations(gens, COXETER_RELATIONS, " at degree 0")
 
 
 def group_closure(generators, cap: int = 1000) -> dict[Perm, SquareMatrix]:

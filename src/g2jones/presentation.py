@@ -4,14 +4,17 @@ The group generated by the five chain twists c1..c5 has the presentation
 with braid relations for adjacent pairs, commutation for distant pairs,
 the chain relation (c1 c2 c3 c4 c5)^6 = 1, an involutive hyperelliptic
 element iota = c1 c2 c3 c4 c5 c5 c4 c3 c2 c1, and iota central.
-:func:`check_presentation` evaluates every relation on concrete
-generator matrices and reports each outcome by name.
+:data:`RELATIONS` is the one table of them; it opens with
+:data:`COXETER_RELATIONS`, the braids and distant commutations the
+degree-0 images share with S6.  :func:`check_presentation` reports each
+by name, and :func:`require_relations` raises at the first that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import RelationFailureError
 from .matrices import SquareMatrix
 from .words import MCGWord, evaluate_word
 
@@ -23,6 +26,30 @@ def chain_word() -> MCGWord:
 def hyperelliptic_word() -> MCGWord:
     ascending = tuple((i, 1) for i in range(1, 6))
     return MCGWord(ascending + tuple(reversed(ascending)))
+
+
+def braid_relation_words(i: int) -> tuple[MCGWord, MCGWord]:
+    a, b = MCGWord.generator(i), MCGWord.generator(i + 1)
+    return a * b * a, b * a * b
+
+
+_c = MCGWord.generator
+_IOTA = hyperelliptic_word()
+
+# (name, lhs, rhs) per relation, in report order
+COXETER_RELATIONS = tuple(
+    (f"braid c{i} c{i + 1}", *braid_relation_words(i)) for i in range(1, 5)
+) + tuple(
+    (f"commute c{i} c{j}", _c(i) * _c(j), _c(j) * _c(i))
+    for i in range(1, 6)
+    for j in range(i + 2, 6)
+)
+RELATIONS = COXETER_RELATIONS + (
+    ("chain (c1 c2 c3 c4 c5)^6 = 1", chain_word() ** 6, MCGWord.identity()),
+    ("hyperelliptic iota^2 = 1", _IOTA ** 2, MCGWord.identity()),
+) + tuple(
+    (f"iota central: [iota, c{i}] = 1", _IOTA * _c(i), _c(i) * _IOTA) for i in range(1, 6)
+)
 
 
 @dataclass(frozen=True)
@@ -53,53 +80,26 @@ class RelationReport:
         return "\n".join(lines)
 
 
-def _compare(name: str, lhs: SquareMatrix, rhs: SquareMatrix) -> RelationCheck:
-    if lhs == rhs:
-        return RelationCheck(name, True)
-    return RelationCheck(name, False, lhs - rhs)
-
-
-def braid_relation_words(i: int) -> tuple[MCGWord, MCGWord]:
-    a, b = MCGWord.generator(i), MCGWord.generator(i + 1)
-    return a * b * a, b * a * b
+def _evaluate_relations(generators, relations):
+    """Yield (name, lhs image, rhs image) per relation, in table order."""
+    gens = tuple(generators)
+    for name, lhs, rhs in relations:
+        yield name, evaluate_word(lhs, gens), evaluate_word(rhs, gens)
 
 
 def check_presentation(generators) -> RelationReport:
     """Evaluate all defining relations on the given generator matrices."""
-    gens = tuple(generators)
-    dim = gens[0].dim
-    identity = SquareMatrix.identity(dim)
-    checks = []
-
-    for i in range(1, 5):
-        lhs, rhs = braid_relation_words(i)
-        checks.append(_compare(
-            f"braid c{i} c{i + 1}",
-            evaluate_word(lhs, gens),
-            evaluate_word(rhs, gens),
-        ))
-
-    for i in range(1, 6):
-        for j in range(i + 2, 6):
-            checks.append(_compare(
-                f"commute c{i} c{j}",
-                gens[i - 1] * gens[j - 1],
-                gens[j - 1] * gens[i - 1],
-            ))
-
-    checks.append(_compare(
-        "chain (c1 c2 c3 c4 c5)^6 = 1",
-        evaluate_word(chain_word() ** 6, gens),
-        identity,
+    return RelationReport(tuple(
+        RelationCheck(name, True) if lhs == rhs else RelationCheck(name, False, lhs - rhs)
+        for name, lhs, rhs in _evaluate_relations(generators, RELATIONS)
     ))
 
-    iota = evaluate_word(hyperelliptic_word(), gens)
-    checks.append(_compare("hyperelliptic iota^2 = 1", iota * iota, identity))
-    for i in range(1, 6):
-        checks.append(_compare(
-            f"iota central: [iota, c{i}] = 1",
-            iota * gens[i - 1],
-            gens[i - 1] * iota,
-        ))
 
-    return RelationReport(tuple(checks))
+def require_relations(generators, relations=RELATIONS, suffix: str = "") -> None:
+    """Raise :class:`RelationFailureError` naming the first relation that fails.
+
+    The error's ``relation`` is the table name followed by ``suffix``.
+    """
+    for name, lhs, rhs in _evaluate_relations(generators, relations):
+        if lhs != rhs:
+            raise RelationFailureError(name + suffix)

@@ -20,13 +20,12 @@ from math import gcd
 from .errors import (
     DeterminantNotUnitSignError,
     NoSolutionError,
-    RelationFailureError,
     SchemaError,
     SearchExhaustedError,
 )
 from .linkpatterns import enumerate_link_patterns, tl_generator
 from .matrices import SquareMatrix, matrix_determinant
-from .presentation import RelationCheck, RelationReport, check_presentation
+from .presentation import RelationCheck, RelationReport, check_presentation, require_relations
 from .rings import LaurentPoly
 from .words import NUM_GENERATORS
 
@@ -132,6 +131,15 @@ def rep_determinant_sign(rep: RepDefinition) -> int:
     return sign
 
 
+def degree0_generators(rep: RepDefinition, eps: int) -> tuple[SquareMatrix, ...]:
+    """Constant terms of the generators at u = eps; integer matrices."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    return tuple(
+        g.map_entries(lambda p: p.evaluate_at_sign(eps)) for g in rep.generators
+    )
+
+
 def validate_representation(rep: RepDefinition) -> RelationReport:
     """Determinant gate plus every defining relation, reported by name."""
     checks = []
@@ -142,28 +150,6 @@ def validate_representation(rep: RepDefinition) -> RelationReport:
         checks.append(RelationCheck(f"determinants in {{+1, -1}} ({exc})", False))
     report = check_presentation(rep.generators)
     return RelationReport(tuple(checks) + report.checks)
-
-
-def _check_invariants(generators: tuple[SquareMatrix, ...]) -> None:
-    # the invariants every stored representation must satisfy: braid,
-    # distant commutation, determinant a constant sign
-    dets = [matrix_determinant(g) for g in generators]
-    for i, det in enumerate(dets, 1):
-        if not (det == 1 or det == -1):
-            raise DeterminantNotUnitSignError(
-                f"det of generator c{i} is {det}, not +1 or -1"
-            )
-    if any(det != dets[0] for det in dets):
-        raise DeterminantNotUnitSignError("generator determinants disagree")
-    for i in range(1, 5):
-        a, b = generators[i - 1], generators[i]
-        if a * b * a != b * a * b:
-            raise RelationFailureError(f"braid c{i} c{i + 1}")
-    for i in range(1, 6):
-        for j in range(i + 2, 6):
-            a, b = generators[i - 1], generators[j - 1]
-            if a * b != b * a:
-                raise RelationFailureError(f"commute c{i} c{j}")
 
 
 def search_valid_rep(
@@ -240,9 +226,9 @@ def rep_from_document(doc) -> RepDefinition:
     """Parse and fully re-validate a representation document.
 
     Schema violations raise :class:`SchemaError`; a document that parses
-    but fails the representation invariants raises
-    :class:`RelationFailureError` or
-    :class:`DeterminantNotUnitSignError`.
+    must then pass the determinant gate (else
+    :class:`DeterminantNotUnitSignError`) and every defining relation
+    (else :class:`RelationFailureError` naming the first that fails).
     """
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
@@ -277,10 +263,10 @@ def rep_from_document(doc) -> RepDefinition:
             ))
         gens.append(SquareMatrix(tuple(rows)))
     norm = _parse_normalization(doc["normalization"])
-    _check_invariants(tuple(gens))
-    return RepDefinition(
-        dim=dim, generators=tuple(gens), normalization=norm, provenance="loaded"
-    )
+    rep = RepDefinition(dim=dim, generators=tuple(gens), normalization=norm, provenance="loaded")
+    rep_determinant_sign(rep)
+    require_relations(rep.generators)
+    return rep
 
 
 def _parse_normalization(raw) -> Normalization | None:

@@ -14,3 +14,13 @@ def rep6():
 @pytest.fixture(scope="session")
 def catalog():
     return builtin_catalog()
+
+
+@pytest.fixture()
+def shear_document():
+    """Five copies of the unipotent shear I + E_01: determinants, braids and
+    commutation hold, the chain relation does not."""
+    one, zero = [[0, "1"]], []
+    shear = [[one if i == j or (i, j) == (0, 1) else zero for j in range(5)]
+             for i in range(5)]
+    return {"dim": 5, "variable": "u", "generators": [shear] * 5, "normalization": None}

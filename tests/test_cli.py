@@ -114,6 +114,21 @@ class TestValidate:
         assert capsys.readouterr().err.strip()
 
 
+class TestLoaderRejectsBrokenRelations:
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["analyze", "--word", "(c1 c2)^6"], ["decompose"],
+    ])
+    def test_identical_shears_are_exit_2(self, workdir, capsys, shear_document, command):
+        path = workdir / "shears.json"
+        path.write_text(json.dumps(shear_document), encoding="utf-8")
+        assert main([command[0], "--rep", str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "RelationFailureError: relation failed: chain (c1 c2 c3 c4 c5)^6 = 1\n"
+        )
+
+
 class TestAnalyze:
     def test_single_word_both_cases(self, workdir, rep_file, capsys):
         code = main(["analyze", "--rep", rep_file, "--word", "(c1 c2)^6", "--json"])

@@ -44,7 +44,7 @@ from g2jones.errors import (
     NotUnipotentError,
     ValuationExceedsOrderError,
 )
-from g2jones.filtration import _det_identity_holds
+from g2jones.filtration import LeadingTermCheck, _det_identity_holds
 from g2jones.matrices import SquareMatrix
 
 X12 = parse_word("(c1 c2)^6")
@@ -303,6 +303,23 @@ class TestStructure:
     def test_bracket_beyond_order(self, rep6):
         with pytest.raises(ValuationExceedsOrderError):
             check_bracket(rep6, X12.commutator(X23), X34, 1, order=2)
+
+    def test_both_checks_share_one_result_type(self, rep6):
+        additivity = check_delta_additivity(rep6, X12, X23, 1)
+        bracket = check_bracket(rep6, X12, X23, 1)
+        assert type(additivity) is type(bracket) is LeadingTermCheck
+        assert bool(additivity) and bool(bracket)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_degree0_matrix_is_the_laurent_image_at_the_sign(self, rep6, eps):
+        # the earlier route: evaluate over Z[u, u^-1], then set u = eps
+        for text in ("c1", "c3^-1", "c1 c2^-2 c5", "(c2 c3)^6", "[c1, c4^-1]"):
+            word = parse_word(text)
+            laurent = evaluate_word(word, rep6.generators)
+            at_sign = laurent.map_entries(
+                lambda p: p.evaluate_at_sign(eps) if isinstance(p, LaurentPoly) else p
+            )
+            assert degree0_matrix(rep6, word, eps) == at_sign
 
 
 # ------------------------------------------------------------------

@@ -36,6 +36,8 @@ from g2jones.isotypic import (
     verify_coxeter,
 )
 from g2jones.matrices import matrix_inverse
+from g2jones.presentation import COXETER_RELATIONS, check_presentation
+from g2jones.rep import degree0_generators as rep_degree0_generators
 
 EXPECTED_MULTS = {(6,): 1, (4, 2): 1, (2, 2, 2): 1, (3, 1, 1, 1): 1}
 EXPECTED_RANKS = {(6,): 1, (4, 2): 9, (2, 2, 2): 5, (3, 1, 1, 1): 10}
@@ -170,6 +172,20 @@ class TestDegreeZeroGroup:
         g = degree0_generators(rep6, 1)
         with pytest.raises(RelationFailureError):
             verify_coxeter((g[0], g[2], g[1], g[3], g[4]))
+
+    @pytest.mark.parametrize("order", [(0, 2, 1, 3, 4), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3),
+                                       (2, 1, 0, 3, 4), (0, 1, 3, 2, 4)])
+    def test_reordered_generators_name_the_table_relation(self, rep6, order):
+        g = degree0_generators(rep6, 1)
+        reordered = tuple(g[i] for i in order)
+        with pytest.raises(RelationFailureError) as info:
+            verify_coxeter(reordered)
+        first = check_presentation(reordered).first_failure().name
+        assert first in {name for name, _, _ in COXETER_RELATIONS}
+        assert info.value.relation == first + " at degree 0"
+
+    def test_degree0_generators_defined_once(self):
+        assert degree0_generators is rep_degree0_generators
 
     def test_sign_flip_is_caught_by_the_closure(self, rep6):
         # -g5 still squares to 1 but the braid with g4 fails

@@ -3,7 +3,15 @@
 import pytest
 
 from g2jones import LaurentPoly, build_rep, check_presentation
-from g2jones.presentation import braid_relation_words, chain_word, hyperelliptic_word
+from g2jones.errors import RelationFailureError
+from g2jones.presentation import (
+    COXETER_RELATIONS,
+    RELATIONS,
+    braid_relation_words,
+    chain_word,
+    hyperelliptic_word,
+    require_relations,
+)
 from g2jones.symplectic import symplectic_generators
 
 
@@ -63,3 +71,58 @@ def test_report_string_marks_each_check(rep6):
     text = str(check_presentation(rep6.generators))
     assert text.count("[ok]") == 17
     assert "FAIL" not in text
+
+
+# the relation list of `g2jones validate --json`, after its determinant entry
+RELATION_NAMES = [
+    "braid c1 c2",
+    "braid c2 c3",
+    "braid c3 c4",
+    "braid c4 c5",
+    "commute c1 c3",
+    "commute c1 c4",
+    "commute c1 c5",
+    "commute c2 c4",
+    "commute c2 c5",
+    "commute c3 c5",
+    "chain (c1 c2 c3 c4 c5)^6 = 1",
+    "hyperelliptic iota^2 = 1",
+    "iota central: [iota, c1] = 1",
+    "iota central: [iota, c2] = 1",
+    "iota central: [iota, c3] = 1",
+    "iota central: [iota, c4] = 1",
+    "iota central: [iota, c5] = 1",
+]
+
+
+def test_report_names_are_the_table(rep6):
+    names = [c.name for c in check_presentation(rep6.generators).checks]
+    assert names == [name for name, _, _ in RELATIONS]
+    assert names == RELATION_NAMES
+
+
+def test_coxeter_relations_open_the_table():
+    assert RELATIONS[:len(COXETER_RELATIONS)] == COXETER_RELATIONS
+    assert [name for name, _, _ in COXETER_RELATIONS] == RELATION_NAMES[:10]
+
+
+def test_require_relations_names_the_first_failure(rep6):
+    require_relations(rep6.generators)
+    u = LaurentPoly.variable()
+    gens = (rep6.generators[0].map_entries(lambda p: p * u),) + rep6.generators[1:]
+    with pytest.raises(RelationFailureError) as info:
+        require_relations(gens)
+    assert info.value.relation == check_presentation(gens).first_failure().name
+    with pytest.raises(RelationFailureError) as info:
+        require_relations(gens, suffix=" here")
+    assert info.value.relation == "braid c1 c2 here"
+
+
+def test_require_relations_on_the_coxeter_part_only(rep6):
+    # commuting scalars pass every Coxeter relation but not the chain
+    u = LaurentPoly.variable()
+    gens = (rep6.generators[0].map_entries(lambda p: p * u),) * 5
+    require_relations(gens, COXETER_RELATIONS)
+    with pytest.raises(RelationFailureError) as info:
+        require_relations(gens)
+    assert info.value.relation == "chain (c1 c2 c3 c4 c5)^6 = 1"

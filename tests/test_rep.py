@@ -25,6 +25,7 @@ from g2jones.errors import (
     SearchExhaustedError,
 )
 from g2jones.matrices import SquareMatrix
+from g2jones.presentation import RELATIONS
 from g2jones.rep import rep_determinant_sign
 
 U = LaurentPoly.variable()
@@ -199,5 +200,30 @@ class TestDocuments:
         doc = rep_to_document(rep6)
         scaled = build_rep(1, -3, 5)  # determinant u^5, not a sign
         doc["generators"] = rep_to_document(scaled)["generators"]
+        with pytest.raises(DeterminantNotUnitSignError):
+            rep_from_document(doc)
+
+
+class TestLoaderRelations:
+    """The loader enforces the determinant gate, then the whole relation table."""
+
+    def test_identical_shears_fail_the_chain(self, shear_document):
+        with pytest.raises(RelationFailureError) as info:
+            rep_from_document(shear_document)
+        assert info.value.relation == "chain (c1 c2 c3 c4 c5)^6 = 1"
+
+    def test_permuted_generators_fail_a_table_relation(self, rep6):
+        doc = rep_to_document(rep6)
+        gens = doc["generators"]
+        doc["generators"] = [gens[1], gens[0]] + gens[2:]
+        with pytest.raises(RelationFailureError) as info:
+            rep_from_document(doc)
+        assert info.value.relation in {name for name, _, _ in RELATIONS}
+        # c2 c1 c2 = c1 c2 c1 still holds; c1 and c3 commute, so braiding them fails
+        assert info.value.relation == "braid c2 c3"
+
+    def test_determinant_gate_runs_before_the_relations(self, shear_document):
+        doc = shear_document
+        doc["generators"][4] = rep_to_document(build_rep(1, -3, 5))["generators"][4]
         with pytest.raises(DeterminantNotUnitSignError):
             rep_from_document(doc)
