@@ -11,16 +11,18 @@ from .words import MCGWord, parse_word
 def parse_catalog(text: str) -> list[tuple[str, MCGWord]]:
     """Parse catalog text into (source line, word) pairs, skipping comments.
 
-    A :class:`ParseError` is raised again naming its 1-based line.
+    A :class:`ParseError` is raised again naming its 1-based line, with
+    its position counted from the start of that line.
     """
     out = []
     for number, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
+        code = line.split("#", 1)[0]
+        stripped = code.strip()
         if stripped:
             try:
                 out.append((stripped, parse_word(stripped)))
             except ParseError as exc:
-                raise exc.located(f"line {number}") from exc
+                raise exc.located(f"line {number}", len(code) - len(code.lstrip())) from exc
     return out
 
 

@@ -197,10 +197,7 @@ def _norm_dict(rep: RepDefinition):
 def _cmd_validate(args) -> int:
     rep = _resolve_rep(args)
     report = validate_representation(rep)
-    try:
-        determinant = rep_determinant_sign(rep)
-    except G2JonesError:
-        determinant = None
+    determinant = report.determinant
     document = {
         "command": "validate",
         "dim": rep.dim,

@@ -73,9 +73,13 @@ class ParseError(G2JonesError):
         self.position = position
         super().__init__(f"{message} (at position {position})")
 
-    def located(self, where: str) -> "ParseError":
-        """The same error, of the same class, with ``where`` before its message."""
-        return type(self)(f"{where}: {self.message}", self.position)
+    def located(self, where: str, shift: int = 0) -> "ParseError":
+        """The same error, of the same class, with ``where`` before its message.
+
+        ``shift`` is added to the position, for text that was cut from the
+        start of the source before parsing.
+        """
+        return type(self)(f"{where}: {self.message}", self.position + shift)
 
 
 class BadGeneratorError(ParseError):

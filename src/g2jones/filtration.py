@@ -14,15 +14,20 @@ for j = 0 .. k only; ``order`` bounds the search for k.
 
 The determinant identity asserted for every analyzed word: det of the
 series matrix agrees with 1 + h^k * trace(C) modulo h^(k+1).  It is
-checked on the series of order k built from moments 0 .. k with the
+checked on integer polynomials, with h scaled by k! so the coefficients
+of h^0 .. h^k built from moments 0 .. k are integers, by the
 permutation-sum determinant, deliberately a different code path from
 the subset dynamic program used elsewhere.
+
+A word's Laurent image is evaluated once and kept in a small memo, so
+both signs of a report and the calculus checks share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from math import factorial
 
@@ -34,7 +39,7 @@ from .errors import (
 )
 from .matrices import SquareMatrix, determinant_by_permutations, matrix_trace
 from .rep import Normalization, RepDefinition, degree0_generators
-from .rings import LaurentPoly, TruncSeries, laurent_to_series
+from .rings import LaurentPoly, laurent_to_series
 from .symplectic import is_torelli
 from .words import MCGWord, evaluate_word
 
@@ -131,17 +136,45 @@ def _leading_term(image: SquareMatrix, eps: int, order: int, word: MCGWord):
     raise ValuationExceedsOrderError(order)
 
 
-def _det_identity_holds(image: SquareMatrix, eps: int, depth: int, lead: SquareMatrix) -> bool:
-    # the image's coefficients of h^0 .. h^depth, read from its moments
-    # apart from _leading_term, form a matrix of series of order depth
-    coeffs = [_coefficient(m, j) for j, m in enumerate(islice(_moments(image, eps), depth + 1))]
+def _scaled_determinant(image: SquareMatrix, eps: int, depth: int) -> LaurentPoly:
+    """det of the image's h-adic expansion through h^depth, with h scaled by depth!.
+
+    h -> depth! * h is a ring homomorphism, invertible on coefficients,
+    and makes the h^j coefficient m_j * (depth!)^j / j! of each entry an
+    integer for j <= depth.  The entries are polynomials in h, held as
+    :class:`LaurentPoly` used as Z[h]; the moments are read apart from
+    :func:`_leading_term`.
+    """
+    scale = factorial(depth)
+    coeffs = [
+        m.map_entries(lambda x, w=scale ** j // factorial(j): w * x)
+        for j, m in enumerate(islice(_moments(image, eps), depth + 1))
+    ]
     dim = image.dim
-    series = SquareMatrix(tuple(
-        tuple(TruncSeries(depth, [c.entry(i, j) for c in coeffs]) for j in range(dim))
-        for i in range(dim)
-    ))
-    expected = TruncSeries(depth, [1] + [0] * (depth - 1) + [matrix_trace(lead)])
-    return determinant_by_permutations(series) == expected
+    return determinant_by_permutations(SquareMatrix(tuple(
+        tuple(LaurentPoly({j: c.entry(a, b) for j, c in enumerate(coeffs)}) for b in range(dim))
+        for a in range(dim)
+    )))
+
+
+def _det_identity_holds(image: SquareMatrix, eps: int, depth: int, lead: SquareMatrix) -> bool:
+    # det = 1 + h^k trace(Delta_k) mod h^(k+1) becomes, with h scaled by
+    # k!, 1 + trace(M_k) (k!)^(k-1) h^k for the moment matrix M_k = k! Delta_k
+    det = _scaled_determinant(image, eps, depth)
+    expected = [1] + [0] * (depth - 1) + [matrix_trace(lead) * factorial(depth) ** depth]
+    return all(det.coefficient(j) == c for j, c in enumerate(expected))
+
+
+@lru_cache(maxsize=4)
+def _laurent_image(word: MCGWord, generators: tuple) -> SquareMatrix:
+    """The word's image over Z[u, u^-1], kept for both signs and every check.
+
+    Keyed on the generators too, so a representation never reads another
+    one's image.  Four entries: a calculus check holds three images (x, y
+    and their product or commutator), and the other sign of the same
+    check reuses all of them.
+    """
+    return evaluate_word(word, generators)
 
 
 def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_ORDER) -> FiltrationReport:
@@ -158,7 +191,7 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
         raise ValueError("order must be an integer >= 2")
     if not is_torelli(word):
         raise NotTorelliError(f"word {word.abbreviated()} acts nontrivially on homology")
-    image = evaluate_word(word, rep.generators)
+    image = _laurent_image(word, tuple(rep.generators))
     depth, lead = _leading_term(image, eps, order, word)
     trace = Fraction(matrix_trace(lead))
     return FiltrationReport(
@@ -178,7 +211,7 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
 
 def verify_det_lemma(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_ORDER) -> bool:
     """Stand-alone check of the determinant identity for one word."""
-    image = evaluate_word(word, rep.generators)
+    image = _laurent_image(word, tuple(rep.generators))
     return _det_identity_holds(image, eps, *_leading_term(image, eps, order, word))
 
 
@@ -236,7 +269,7 @@ def check_delta_additivity(
         raise DepthMismatchError(
             f"depth {rx.depth} for {x} vs depth {ry.depth} for {y}"
         )
-    image = evaluate_word(x * y, rep.generators)
+    image = _laurent_image(x * y, tuple(rep.generators))
     return _check_leading_term(image, eps, rx.depth, rx.delta + ry.delta)
 
 
@@ -276,5 +309,5 @@ def check_bracket(
         raise ValuationExceedsOrderError(
             order, f"depths {rx.depth} + {ry.depth} exceed order {order}"
         )
-    image = evaluate_word(x.commutator(y), rep.generators)
+    image = _laurent_image(x.commutator(y), tuple(rep.generators))
     return _check_leading_term(image, eps, target, rx.delta * ry.delta - ry.delta * rx.delta)

@@ -62,6 +62,9 @@ class RelationCheck:
 @dataclass(frozen=True)
 class RelationReport:
     checks: tuple[RelationCheck, ...] = field(default_factory=tuple)
+    # the generators' common determinant when a determinant gate ran and
+    # passed; None when it failed or did not run
+    determinant: int | None = None
 
     @property
     def passed(self) -> bool:

@@ -142,14 +142,14 @@ def degree0_generators(rep: RepDefinition, eps: int) -> tuple[SquareMatrix, ...]
 
 def validate_representation(rep: RepDefinition) -> RelationReport:
     """Determinant gate plus every defining relation, reported by name."""
-    checks = []
     try:
         sign = rep_determinant_sign(rep)
-        checks.append(RelationCheck(f"determinants constant {'+1' if sign == 1 else '-1'}", True))
+        gate = RelationCheck(f"determinants constant {'+1' if sign == 1 else '-1'}", True)
     except DeterminantNotUnitSignError as exc:
-        checks.append(RelationCheck(f"determinants in {{+1, -1}} ({exc})", False))
+        sign = None
+        gate = RelationCheck(f"determinants in {{+1, -1}} ({exc})", False)
     report = check_presentation(rep.generators)
-    return RelationReport(tuple(checks) + report.checks)
+    return RelationReport((gate,) + report.checks, determinant=sign)
 
 
 def search_valid_rep(

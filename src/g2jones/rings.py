@@ -389,7 +389,7 @@ class TruncSeries:
         return f"TruncSeries(order={self._order}, coeffs={self._coeffs!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def exp_series(multiplier: int, order: int) -> TruncSeries:
     """The series of e^(m*h) truncated at the given order.
 

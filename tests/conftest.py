@@ -1,8 +1,15 @@
-"""Shared fixtures: the canonical representation and the packaged catalog."""
+"""Shared fixtures: the canonical representation and the packaged catalog.
+
+Hypothesis runs with deadlines off, so no property test can fail on timing.
+"""
 
 import pytest
+from hypothesis import settings
 
 from g2jones import build_rep, builtin_catalog
+
+settings.register_profile("g2jones", deadline=None)
+settings.load_profile("g2jones")
 
 
 @pytest.fixture(scope="session")

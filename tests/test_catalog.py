@@ -41,6 +41,29 @@ def test_parse_catalog_propagates_word_errors():
     assert str(info.value) == "line 2: generator c9 outside c1..c5 (at position 1)"
 
 
+@pytest.mark.parametrize("line,position", [
+    ("   c1 c9", 7), ("\t c1 c9  # note", 6), ("c1 c9", 4),
+])
+def test_catalog_error_positions_count_from_the_start_of_the_line(line, position):
+    with pytest.raises(BadGeneratorError) as info:
+        parse_catalog("c1\n" + line)
+    assert info.value.position == position
+    assert line[position] == "9"
+    assert str(info.value) == f"line 2: generator c9 outside c1..c5 (at position {position})"
+
+
+def test_cli_catalog_error_position_counts_leading_spaces(tmp_path, monkeypatch, rep6, capsys):
+    monkeypatch.chdir(tmp_path)
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(rep_to_document(rep6)), encoding="utf-8")
+    words = tmp_path / "words.txt"
+    words.write_text("(c1 c2)^6\n   c1 c9\n", encoding="utf-8")
+    assert main(["analyze", "--rep", str(rep), "--catalog", str(words)]) == 2
+    assert capsys.readouterr().err == (
+        f"BadGeneratorError: {words}: line 2: generator c9 outside c1..c5 (at position 7)\n"
+    )
+
+
 def test_catalog_line_numbers_count_comments_and_blanks():
     with pytest.raises(ParseError) as info:
         parse_catalog("# header\n\nc1 c2  # ok\n(c1 c2\n")

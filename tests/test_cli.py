@@ -6,8 +6,10 @@ import pytest
 
 from g2jones import cli
 from g2jones.characters import CharacterTable
+from g2jones import rep as rep_module
 from g2jones.cli import CACHE_FILENAME, main
-from g2jones.rep import rep_from_document, rep_to_document
+from g2jones.presentation import RELATIONS
+from g2jones.rep import RepDefinition, rep_from_document, rep_to_document
 
 DEEP_WORD = "[[(c1 c2)^6, (c2 c3)^6], (c3 c4)^6]"
 
@@ -104,6 +106,52 @@ class TestValidate:
         assert main(["validate"]) == 3
         assert "i/o error" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
+
+    def test_determinant_gate_runs_once_in_the_loader_and_once_in_validation(
+            self, workdir, rep_file, monkeypatch, capsys):
+        calls = []
+        gate = rep_module.rep_determinant_sign
+
+        def counting(rep):
+            calls.append(rep)
+            return gate(rep)
+
+        monkeypatch.setattr(rep_module, "rep_determinant_sign", counting)
+        monkeypatch.setattr(cli, "rep_determinant_sign", counting)
+        assert main(["validate", "--rep", rep_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["determinant"] == 1
+        assert len(calls) == 2
+
+    def test_failing_document_reads_the_failed_gate(self, workdir, rep6, monkeypatch, capsys):
+        # c1 negated: determinants disagree and the braid c1 c2 fails; the
+        # loader would refuse it, so it is handed to the command directly
+        gens = (-rep6.generators[0],) + rep6.generators[1:]
+        broken = RepDefinition(dim=5, generators=gens, normalization=None,
+                               provenance="constructed")
+        monkeypatch.setattr(cli, "_resolve_rep", lambda args: broken)
+        gate = "determinants in {+1, -1} (generator determinants disagree)"
+        assert main(["validate", "--json"]) == 2
+        assert capsys.readouterr().out == json.dumps({
+            "command": "validate",
+            "dim": 5,
+            "provenance": "constructed",
+            "normalization": None,
+            "determinant": None,
+            "relations": [{"name": gate, "passed": False}] + [
+                {"name": name, "passed": name != "braid c1 c2"} for name, _, _ in RELATIONS
+            ],
+            "passed": False,
+        }, indent=2, sort_keys=True) + "\n"
+        assert main(["validate"]) == 2
+        assert capsys.readouterr().out == (
+            "representation: dim 5, provenance constructed\n"
+            "normalization: None\n"
+            "determinant: not +/-1\n"
+            "relations: 18 checked, 16 passed\n"
+            f"  FAIL {gate}\n"
+            "  FAIL braid c1 c2\n"
+            "FAIL\n"
+        )
 
     def test_mathematically_broken_rep_is_exit_2(self, workdir, rep6, capsys):
         doc = rep_to_document(rep6)

@@ -12,6 +12,8 @@ machinery under test.
 
 import json
 from fractions import Fraction
+from itertools import islice
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +46,15 @@ from g2jones.errors import (
     NotUnipotentError,
     ValuationExceedsOrderError,
 )
-from g2jones.filtration import LeadingTermCheck, _det_identity_holds
+from g2jones import filtration
+from g2jones.filtration import (
+    LeadingTermCheck,
+    _coefficient,
+    _det_identity_holds,
+    _laurent_image,
+    _moments,
+    _scaled_determinant,
+)
 from g2jones.matrices import SquareMatrix
 
 X12 = parse_word("(c1 c2)^6")
@@ -450,3 +460,182 @@ class TestErrorMessages:
             analyze(broken, relator ** 51, 1)
         assert "(306 letters)" in str(info.value)
         assert len(str(info.value)) < 160
+
+
+# ------------------------------------------------------------------
+# One Laurent image per word: a memo keyed on the word and the
+# generators, read by both signs and every check.  A fresh
+# evaluate_word is the reference.
+
+def _broken_rep(rep):
+    """rep with c1 negated: other generators, so other images."""
+    gens = (-rep.generators[0],) + rep.generators[1:]
+    return RepDefinition(dim=5, generators=gens, normalization=None, provenance="constructed")
+
+
+def _count_evaluations(monkeypatch, rep):
+    """Record the words filtration evaluates in rep's Laurent generators."""
+    calls = []
+
+    def counting(word, generators):
+        if tuple(generators) == rep.generators:
+            calls.append(word)
+        return evaluate_word(word, generators)
+
+    monkeypatch.setattr(filtration, "evaluate_word", counting)
+    _laurent_image.cache_clear()
+    return calls
+
+
+def assert_memo_matches_fresh(rep, word):
+    _laurent_image.cache_clear()
+    first = _laurent_image(word, rep.generators)
+    again = _laurent_image(word, rep.generators)
+    assert again is first
+    assert first == evaluate_word(word, rep.generators)
+
+
+class TestLaurentImageMemo:
+    def test_bound(self):
+        assert _laurent_image.cache_info().maxsize == 4
+
+    def test_catalog(self, rep6, catalog):
+        for _, word in catalog:
+            assert_memo_matches_fresh(rep6, word)
+
+    @settings(max_examples=25)
+    @given(word=st.one_of(conjugates, commutators))
+    def test_generated_torelli_words(self, rep6, word):
+        assert_memo_matches_fresh(rep6, word)
+
+    def test_each_representation_gets_its_own_image(self, rep6):
+        broken = _broken_rep(rep6)
+        relator = parse_word("c1 c2 c1 c2^-1 c1^-1 c2^-1")
+        _laurent_image.cache_clear()
+        for word in (parse_word("c1 c2"), relator, X12):
+            ours = _laurent_image(word, rep6.generators)
+            theirs = _laurent_image(word, broken.generators)
+            assert ours == evaluate_word(word, rep6.generators)
+            assert theirs == evaluate_word(word, broken.generators)
+        assert _laurent_image(parse_word("c1 c2"), rep6.generators) != _laurent_image(
+            parse_word("c1 c2"), broken.generators)
+        # the relator is the identity for rep6 and not even degree-0
+        # trivial for the broken rep, whichever is analyzed first
+        for first, second in ((rep6, broken), (broken, rep6)):
+            _laurent_image.cache_clear()
+            for rep in (first, second):
+                expected = ValuationExceedsOrderError if rep is rep6 else Degree0NontrivialError
+                with pytest.raises(expected):
+                    analyze(rep, relator, 1)
+
+    def test_both_signs_share_one_evaluation(self, rep6, monkeypatch):
+        calls = _count_evaluations(monkeypatch, rep6)
+        plus = analyze(rep6, X12.commutator(X23), 1)
+        minus = analyze(rep6, parse_word(str(X12.commutator(X23))), -1)
+        assert len(calls) == 1
+        assert (plus.depth, minus.depth) == (2, 2)
+        assert verify_det_lemma(rep6, X12.commutator(X23), -1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("check,expected", [
+        (lambda rep, eps: check_delta_additivity(rep, X12, X23, eps).holds, 3),
+        (lambda rep, eps: check_bracket(rep, X12, X23, eps).holds, 3),
+        (lambda rep, eps: check_equivariance(rep, parse_word("c3"), X23, eps), 2),
+    ], ids=["additivity", "bracket", "equivariance"])
+    def test_calculus_checks_evaluate_each_image_once(self, rep6, monkeypatch, check, expected):
+        calls = _count_evaluations(monkeypatch, rep6)
+        assert check(rep6, 1) and check(rep6, -1)
+        # x, y and x*y or [x, y]; for equivariance x and g x g^-1; the
+        # second sign reuses them all
+        assert len(calls) == expected
+
+
+# ------------------------------------------------------------------
+# The determinant identity runs on integer polynomials with h scaled by
+# depth!.  The earlier route, the permutation determinant on Fraction
+# series of order depth built from the same moments, is the reference.
+
+def series_determinant(image, eps, depth):
+    coeffs = [_coefficient(m, j) for j, m in enumerate(islice(_moments(image, eps), depth + 1))]
+    dim = image.dim
+    series = SquareMatrix(tuple(
+        tuple(TruncSeries(depth, [c.entry(i, j) for c in coeffs]) for j in range(dim))
+        for i in range(dim)
+    ))
+    return determinant_by_permutations(series)
+
+
+def series_det_identity_holds(image, eps, depth, lead):
+    expected = TruncSeries(depth, [1] + [0] * (depth - 1) + [matrix_trace(lead)])
+    return series_determinant(image, eps, depth) == expected
+
+
+def assert_integer_determinant_matches_series(rep, word, eps):
+    try:
+        report = analyze(rep, word, eps, ORACLE_ORDER)
+    except ValuationExceedsOrderError:
+        return
+    image = evaluate_word(word, rep.generators)
+    depth = report.depth
+    scaled = _scaled_determinant(image, eps, depth)
+    series = series_determinant(image, eps, depth)
+    scale = factorial(depth)
+    for j in range(depth + 1):
+        assert scaled.coefficient(j) == series.coefficient(j) * scale ** j
+    for lead in (report.delta, report.delta + SquareMatrix.identity(5),
+                 report.delta.map_entries(lambda x: -x)):
+        assert _det_identity_holds(image, eps, depth, lead) == series_det_identity_holds(
+            image, eps, depth, lead)
+    assert report.det_lemma_ok
+
+
+class TestIntegerDeterminantAgainstSeries:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_catalog(self, rep6, catalog, eps):
+        for _, word in catalog:
+            assert_integer_determinant_matches_series(rep6, word, eps)
+
+    @settings(max_examples=25)
+    @given(word=st.one_of(conjugates, commutators), eps=signs)
+    def test_generated_torelli_words(self, rep6, word, eps):
+        assert_integer_determinant_matches_series(rep6, word, eps)
+
+    # every Torelli image has leading trace 0, so words alone never test
+    # the h^k coefficient of the identity; any Laurent matrix does, since
+    # h -> k! * h commutes with the determinant
+    @settings(max_examples=30)
+    @given(word=short_words, eps=signs, depth=st.integers(1, 4))
+    def test_any_image_at_any_depth(self, rep6, word, eps, depth):
+        image = evaluate_word(word, rep6.generators)
+        scaled = _scaled_determinant(image, eps, depth)
+        series = series_determinant(image, eps, depth)
+        for j in range(depth + 1):
+            assert scaled.coefficient(j) == series.coefficient(j) * factorial(depth) ** j
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_a_nonzero_leading_trace(self, eps, depth):
+        # 1 + v^depth with v = eps * (u - eps) = e^h - 1 is 1 + h^depth + ...,
+        # put in a corner and conjugated by a unimodular matrix: leading
+        # matrix of trace 1 at the given depth
+        v = LaurentPoly({1: eps, 0: -1})
+        corner = SquareMatrix(tuple(
+            tuple((1 + v ** depth if i == 0 else 1) if i == j else 0 for j in range(5))
+            for i in range(5)
+        ))
+        shift = SquareMatrix.from_rows([[int(j == i + 1) * (i + 2) for j in range(5)]
+                                        for i in range(5)])
+        p = SquareMatrix.identity(5) + shift
+        p_inv = SquareMatrix.identity(5) - shift + shift * shift - shift * shift * shift \
+            + shift * shift * shift * shift
+        assert p * p_inv == SquareMatrix.identity(5)
+        image = p * corner * p_inv
+        found, lead = filtration._leading_term(image, eps, ORACLE_ORDER, X12)
+        assert (found, matrix_trace(lead)) == (depth, 1)
+        assert series_det_identity_holds(image, eps, depth, lead)
+        assert _det_identity_holds(image, eps, depth, lead)
+        scaled = _scaled_determinant(image, eps, depth)
+        assert scaled.coefficient(depth) == factorial(depth) ** depth
+        for wrong in (SquareMatrix.zero(5), lead * 2, lead - SquareMatrix.identity(5)):
+            assert not series_det_identity_holds(image, eps, depth, wrong)
+            assert not _det_identity_holds(image, eps, depth, wrong)

@@ -108,6 +108,18 @@ class TestValidate:
         report = validate_representation(broken)
         assert not report.passed
 
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_report_keeps_the_determinant_sign(self, eta):
+        rep = build_rep(eta, -4, 5)
+        assert validate_representation(rep).determinant == rep_determinant_sign(rep) == eta
+
+    def test_failed_gate_keeps_no_determinant(self, rep6):
+        gens = (-rep6.generators[0],) + rep6.generators[1:]
+        broken = type(rep6)(dim=5, generators=gens, normalization=None, provenance="constructed")
+        report = validate_representation(broken)
+        assert report.determinant is None
+        assert not report.checks[0].passed
+
 
 class TestSearch:
     def test_finds_canonical_normalization(self):

@@ -202,6 +202,9 @@ class TestTruncSeries:
 
 
 class TestSubstitution:
+    def test_exp_series_cache_is_bounded(self):
+        assert exp_series.cache_info().maxsize is not None
+
     def test_exp_series_values(self):
         assert exp_series(0, 4) == TruncSeries.one(4)
         assert exp_series(1, 3) == TruncSeries(
