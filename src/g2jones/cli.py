@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except SearchExhaustedError as exc:
@@ -183,7 +183,7 @@ def _dumps(document) -> str:
 
 def _emit(args, document, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(_dumps(document), encoding="utf-8")
+        _write_atomically(Path(args.out), _dumps(document))
     if args.json:
         sys.stdout.write(_dumps(document))
     else:

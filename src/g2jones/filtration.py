@@ -8,14 +8,15 @@ leading matrix.  :func:`analyze` packages depth, leading matrix, trace,
 a determinant identity check, and the projection onto scalars into one
 report.
 
-No series is formed: c * u^e becomes c * eps^e * e^(e*h), so j! times
-the h^j coefficient is an integer moment of the Laurent image, taken
-for j = 0 .. k only; ``order`` bounds the search for k.
+No series is formed: the expansion is read in t = e^h - 1, where c * u^e
+= c * eps^e * (1 + t)^e has the integer t^j coefficient c * eps^e *
+binom(e, j), taken for j = 0 .. k only; ``order`` bounds the search for
+k.  As t = h + O(h^2), depth and C are the same in t as in h.
 
 The determinant identity asserted for every analyzed word: det of the
-series matrix agrees with 1 + h^k * trace(C) modulo h^(k+1).  It is
-checked on integer polynomials, with h scaled by k! so the coefficients
-of h^0 .. h^k built from moments 0 .. k are integers, by the
+series matrix agrees with 1 + h^k * trace(C) modulo h^(k+1), so also
+with 1 + t^k * trace(C) modulo t^(k+1).  It is checked on integer
+polynomials in t built from coefficients 0 .. k, by the
 permutation-sum determinant, deliberately a different code path from
 the subset dynamic program used elsewhere.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import factorial
+from math import comb
 
 from .errors import (
     Degree0NontrivialError,
@@ -51,8 +52,9 @@ def word_series(rep: RepDefinition, word: MCGWord, eps: int, order: int) -> Squa
 
     Substitution is a ring homomorphism, so this equals evaluating the
     word in the already-substituted generator matrices.  The reports
-    read the same coefficients as integer moments instead; this series
-    route is their independent reference.
+    read the expansion in t = e^h - 1 instead, as integer binomial sums
+    of the Laurent image; this series route is their independent
+    reference.
     """
     laurent = evaluate_word(word, rep.generators)
     return laurent.map_entries(lambda p: laurent_to_series(p, eps, order))
@@ -93,22 +95,24 @@ class FiltrationReport:
         }
 
 
-def _moments(image: SquareMatrix, eps: int):
-    """Yield j! times the h^j coefficient matrix of the image at u = eps * e^h.
+def _coefficients(image: SquareMatrix, eps: int):
+    """Yield the integer t^j coefficient matrix of the image at u = eps * (1 + t).
 
-    For j = 0, 1, 2, ...; a term c * u^e contributes c * eps^e * e^j, so
-    the entries are integer moments of the Laurent entries.
+    For j = 0, 1, 2, ...; a term c * u^e contributes c * eps^e *
+    binom(e, j), with the weight eps^e * binom(e, j) computed once per
+    distinct exponent.  For e < 0, binom(e, j) = (-1)^j * binom(j - e - 1, j).
     """
-    terms = image.map_entries(lambda p: [
-        (e, c if eps == 1 or e % 2 == 0 else -c)
-        for e, c in (p.items() if isinstance(p, LaurentPoly) else ((0, p),))
-    ])
+    terms = image.map_entries(
+        lambda p: tuple(p.items()) if isinstance(p, LaurentPoly) else ((0, p),)
+    )
+    exponents = {e for row in terms.entries for entry in row for e, _ in entry}
     for j in count():
-        yield terms.map_entries(lambda entry: sum(c * e ** j for e, c in entry))
-
-
-def _coefficient(moment: SquareMatrix, k: int) -> SquareMatrix:
-    return moment.map_entries(lambda x: Fraction(x, factorial(k)))
+        weights = {}
+        for e in exponents:
+            w = comb(e, j) if e >= 0 else (-1) ** j * comb(j - e - 1, j)
+            # eps ** e is a float for e < 0, so the sign comes from e's parity
+            weights[e] = -w if eps == -1 and e % 2 else w
+        yield terms.map_entries(lambda entry: sum(c * weights[e] for e, c in entry))
 
 
 def _leading_term(image: SquareMatrix, eps: int, order: int, word: MCGWord):
@@ -118,38 +122,33 @@ def _leading_term(image: SquareMatrix, eps: int, order: int, word: MCGWord):
     constant term differs from the identity, and
     :class:`ValuationExceedsOrderError` when no k <= order has C != 0.
     """
-    moments = _moments(image, eps)
-    for i, row in enumerate(next(moments).entries):
+    coefficients = _coefficients(image, eps)
+    for i, row in enumerate(next(coefficients).entries):
         for j, x in enumerate(row):
             if x != int(i == j):
                 raise Degree0NontrivialError(
                     f"constant term of {word.abbreviated()} differs from the identity at ({i}, {j})"
                 )
-    # a nonzero entry of image - I with t terms has a nonzero moment at
-    # some j < t (Vandermonde), so only the identity searches up to order
+    # a nonzero entry of image - I with n terms has a nonzero t^j
+    # coefficient at some j < n: the binom(e, j) with j < n span the same
+    # polynomials in e as the e^j (Vandermonde), so only the identity
+    # searches up to order
     if image == SquareMatrix.identity(image.dim):
         raise ValuationExceedsOrderError(order)
     zero = SquareMatrix.zero(image.dim)
-    for k, moment in zip(range(1, order + 1), moments):
-        if moment != zero:
-            return k, _coefficient(moment, k)
+    for k, coefficient in zip(range(1, order + 1), coefficients):
+        if coefficient != zero:
+            return k, coefficient
     raise ValuationExceedsOrderError(order)
 
 
-def _scaled_determinant(image: SquareMatrix, eps: int, depth: int) -> LaurentPoly:
-    """det of the image's h-adic expansion through h^depth, with h scaled by depth!.
+def _truncated_determinant(image: SquareMatrix, eps: int, depth: int) -> LaurentPoly:
+    """det of the image's expansion in t = e^h - 1 through t^depth.
 
-    h -> depth! * h is a ring homomorphism, invertible on coefficients,
-    and makes the h^j coefficient m_j * (depth!)^j / j! of each entry an
-    integer for j <= depth.  The entries are polynomials in h, held as
-    :class:`LaurentPoly` used as Z[h]; the moments are read apart from
-    :func:`_leading_term`.
+    The entries are integer polynomials in t, held as :class:`LaurentPoly`
+    used as Z[t]; the coefficients are read apart from :func:`_leading_term`.
     """
-    scale = factorial(depth)
-    coeffs = [
-        m.map_entries(lambda x, w=scale ** j // factorial(j): w * x)
-        for j, m in enumerate(islice(_moments(image, eps), depth + 1))
-    ]
+    coeffs = list(islice(_coefficients(image, eps), depth + 1))
     dim = image.dim
     return determinant_by_permutations(SquareMatrix(tuple(
         tuple(LaurentPoly({j: c.entry(a, b) for j, c in enumerate(coeffs)}) for b in range(dim))
@@ -158,10 +157,8 @@ def _scaled_determinant(image: SquareMatrix, eps: int, depth: int) -> LaurentPol
 
 
 def _det_identity_holds(image: SquareMatrix, eps: int, depth: int, lead: SquareMatrix) -> bool:
-    # det = 1 + h^k trace(Delta_k) mod h^(k+1) becomes, with h scaled by
-    # k!, 1 + trace(M_k) (k!)^(k-1) h^k for the moment matrix M_k = k! Delta_k
-    det = _scaled_determinant(image, eps, depth)
-    expected = [1] + [0] * (depth - 1) + [matrix_trace(lead) * factorial(depth) ** depth]
+    det = _truncated_determinant(image, eps, depth)
+    expected = [1] + [0] * (depth - 1) + [matrix_trace(lead)]
     return all(det.coefficient(j) == c for j, c in enumerate(expected))
 
 
@@ -237,12 +234,12 @@ def _check_leading_term(
     image: SquareMatrix, eps: int, depth: int, expected: SquareMatrix
 ) -> LeadingTermCheck:
     """Compare the image at u = eps * e^h with I + h^depth * expected + O(h^(depth+1))."""
-    moments = list(islice(_moments(image, eps), depth + 1))
+    coefficients = list(islice(_coefficients(image, eps), depth + 1))
     zero = SquareMatrix.zero(image.dim)
-    below = moments[0] == SquareMatrix.identity(image.dim) and all(
-        m == zero for m in moments[1:depth]
+    below = coefficients[0] == SquareMatrix.identity(image.dim) and all(
+        c == zero for c in coefficients[1:depth]
     )
-    actual = _coefficient(moments[depth], depth)
+    actual = coefficients[depth]
     holds = below and actual == expected
     return LeadingTermCheck(
         holds=holds,

@@ -2,10 +2,12 @@
 
 Entries may be ints, ``Fraction``, :class:`~g2jones.rings.LaurentPoly` or
 :class:`~g2jones.rings.TruncSeries`; the matrix code only needs ring
-arithmetic plus coercion from small ints.  Determinants come in two
-independent flavours on purpose: a division-free dynamic program over
-column subsets (the workhorse), and a direct permutation sum used to
-cross-check determinant identities.  They share no code path.
+arithmetic plus coercion from small ints.  Inverses are taken over
+ints, ``Fraction`` and ``LaurentPoly`` only; series matrices are
+multiplied, never inverted.  Determinants come in two independent
+flavours on purpose: a division-free dynamic program over column subsets
+(the workhorse), and a direct permutation sum used to cross-check
+determinant identities.  They share no code path.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class SquareMatrix:
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(tuple(zip(*self.entries)))
@@ -225,17 +224,14 @@ def _invert_entry(value):
         return 1 / value
     if isinstance(value, LaurentPoly):
         return value.unit_inverse()
-    if isinstance(value, TruncSeries):
-        return value.reciprocal()
     raise TypeError(f"cannot invert {type(value).__name__}")
 
 
 def matrix_inverse(matrix: SquareMatrix) -> SquareMatrix:
     """Exact inverse: adjugate scaled by the determinant's inverse.
 
-    Requires the determinant to be a unit of the entry ring (any nonzero
-    rational, a signed power of u, or a series with nonzero constant
-    term).
+    Requires the determinant to be a unit of the entry ring: +/-1, any
+    nonzero rational, or a signed power of u.
     """
     det = matrix_determinant(matrix)
     inv_det = _invert_entry(det)

@@ -62,9 +62,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_constant(self) -> bool:
-        return not self._coeffs or set(self._coeffs) == {0}
-
     def is_unit(self) -> bool:
         """True when the polynomial is +/- a single power of the variable."""
         if len(self._coeffs) != 1:
@@ -341,21 +338,6 @@ class TruncSeries:
             base = base * base
             n >>= 1
         return result
-
-    def reciprocal(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self._coeffs[0]
-        if a0 == 0:
-            raise ValueError("series with zero constant term has no reciprocal")
-        n = self._order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1) / a0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self._coeffs[i] * out[k - i]
-            out[k] = -acc / a0
-        return TruncSeries(n, out)
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):

@@ -278,6 +278,24 @@ class TestAnalyze:
         assert json.loads(first.read_text(encoding="utf-8"))["passed"] is True
 
 
+    def test_out_equals_the_json_stdout_and_leaves_no_temporary(self, workdir, rep_file, capsys):
+        target = workdir / "report.json"
+        assert main(["analyze", "--rep", rep_file, "--word", "(c3 c4)^6",
+                     "--json", "--out", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+        assert sorted(p.name for p in workdir.iterdir()) == ["rep.json", "report.json"]
+
+    def test_failed_out_write_leaves_nothing_behind(self, workdir, rep_file, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main(["analyze", "--rep", rep_file, "--word", "(c3 c4)^6",
+                     "--out", str(workdir / "report.json")]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["rep.json"]
+
+
 class TestDecompose:
     def test_full_document(self, workdir, rep_file, capsys):
         assert main(["decompose", "--rep", rep_file, "--json"]) == 0
@@ -397,6 +415,21 @@ class TestChartable:
         table.write_text(_table_text_with_bad_value(), encoding="utf-8")
         assert main(["chartable", "--chartable", str(table)]) == 2
         assert "orthogonality: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--catalog"],
+    ["decompose", "--chartable"],
+    ["chartable", "--chartable"],
+    ["validate", "--rep"],
+], ids=["analyze-catalog", "decompose-chartable", "chartable-chartable", "validate-rep"])
+def test_non_utf8_input_is_io_error(workdir, rep_file, capsys, command):
+    bad = workdir / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    rep_option = [] if command[0] in ("chartable", "validate") else ["--rep", rep_file]
+    assert main(command + [str(bad)] + rep_option) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error") and "Traceback" not in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -13,7 +13,6 @@ machinery under test.
 import json
 from fractions import Fraction
 from itertools import islice
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +30,10 @@ from g2jones import (
     degree0_matrix,
     determinant_by_permutations,
     evaluate_word,
+    exp_series,
     laurent_to_series,
     matrix_determinant,
+    matrix_inverse,
     matrix_trace,
     parse_word,
     series_matrix_valuation,
@@ -49,11 +50,10 @@ from g2jones.errors import (
 from g2jones import filtration
 from g2jones.filtration import (
     LeadingTermCheck,
-    _coefficient,
+    _coefficients,
     _det_identity_holds,
     _laurent_image,
-    _moments,
-    _scaled_determinant,
+    _truncated_determinant,
 )
 from g2jones.matrices import SquareMatrix
 
@@ -68,7 +68,7 @@ DELTA1_X12_PLUS = SquareMatrix.from_rows([
     [0, 0, 12, 0, -20],
     [0, 0, 0, 12, -40],
     [0, 0, 0, 0, -48],
-]).map_entries(Fraction)
+])
 
 DELTA1_X12_MINUS = SquareMatrix.from_rows([
     [12, 0, 0, 0, 40],
@@ -76,7 +76,7 @@ DELTA1_X12_MINUS = SquareMatrix.from_rows([
     [0, 0, 12, 0, -20],
     [0, 0, 0, 12, 40],
     [0, 0, 0, 0, -48],
-]).map_entries(Fraction)
+])
 
 DELTA2_COMM_PLUS = SquareMatrix.from_rows([
     [0, 800, 0, 0, -800],
@@ -84,7 +84,7 @@ DELTA2_COMM_PLUS = SquareMatrix.from_rows([
     [0, 400, 0, 0, -400],
     [0, 800, 0, 0, -800],
     [0, 1200, 0, 0, -400],
-]).map_entries(Fraction)
+])
 
 CATALOG_DEPTHS = [1] * 15 + [2] * 3 + [3] * 2
 
@@ -111,6 +111,7 @@ class TestAnalyze:
         report = analyze(rep6, X12, eps)
         assert report.depth == 1
         assert report.delta == frozen
+        assert all(type(x) is int for row in report.delta.entries for x in row)
         assert report.trace == 0
         assert report.trivial_projection == 0
         assert report.det_lemma_ok
@@ -200,15 +201,21 @@ class TestAnalyze:
 class TestSeriesRoute:
     @pytest.mark.parametrize("eps", [1, -1])
     def test_word_series_matches_generator_substitution(self, rep6, eps):
-        # substitute first, then multiply in the series ring
+        # substitute first, then multiply in the series ring; an inverse
+        # letter reads the substituted Laurent inverse
         order = 6
-        series_gens = [
-            g.map_entries(lambda p: laurent_to_series(p, eps, order))
-            for g in rep6.generators
-        ]
+        one = SquareMatrix.identity(5).map_entries(lambda x: TruncSeries.constant(x, order))
+        letter = {}
+        for i, g in enumerate(rep6.generators, start=1):
+            up, down = (m.map_entries(lambda p: laurent_to_series(p, eps, order))
+                        for m in (g, matrix_inverse(g)))
+            assert up * down == one
+            letter[i], letter[-i] = up, down
         for word in (parse_word("c1 c2"), parse_word("c3^2 c5^-1"),
                      parse_word("c2 c4^-2 c1")):
-            direct = evaluate_word(word, series_gens)
+            direct = one
+            for gen, exp in word.letters:
+                direct = direct * letter[gen if exp > 0 else -gen] ** abs(exp)
             assert word_series(rep6, word, eps, order) == direct
 
     @pytest.mark.parametrize("eps", [1, -1])
@@ -333,9 +340,10 @@ class TestStructure:
 
 
 # ------------------------------------------------------------------
-# The reports read h-adic coefficients as integer moments of the
-# Laurent image, up to the depth.  The series route below (substitute
-# u = eps * e^h at order 12, then take the valuation) is the reference.
+# The reports read the expansion in t = e^h - 1 as integer binomial
+# sums of the Laurent image, up to the depth.  The series route below
+# (substitute u = eps * e^h at order 12, then take the valuation) is the
+# reference.
 
 ORACLE_ORDER = 12
 
@@ -551,23 +559,44 @@ class TestLaurentImageMemo:
 
 
 # ------------------------------------------------------------------
-# The determinant identity runs on integer polynomials with h scaled by
-# depth!.  The earlier route, the permutation determinant on Fraction
-# series of order depth built from the same moments, is the reference.
+# The t^j coefficients are integer binomial sums, and the determinant
+# identity runs on integer polynomials in t = e^h - 1.  The references
+# expand each term in the series ring instead: (1 + t)^e by repeated
+# multiplication, with (1 + t)^-1 written out as 1 - t + t^2 - ..., and
+# the determinant of the laurent_to_series images at order depth.
+
+def t_series(poly, eps, order):
+    """poly at u = eps * (1 + t), as a series in t through t^order."""
+    up = TruncSeries(order, (eps, eps))
+    down = TruncSeries(order, [eps * (-1) ** j for j in range(order + 1)])
+    total = TruncSeries.zero(order)
+    for e, c in (poly.items() if isinstance(poly, LaurentPoly) else ((0, poly),)):
+        total = total + c * (up ** e if e >= 0 else down ** -e)
+    return total
+
+
+def substitute_t(poly, order):
+    """A polynomial in t at t = e^h - 1, through h^order."""
+    t = exp_series(1, order) - 1
+    total = TruncSeries.zero(order)
+    for j, c in poly.items():
+        total = total + c * t ** j
+    return total
+
 
 def series_determinant(image, eps, depth):
-    coeffs = [_coefficient(m, j) for j, m in enumerate(islice(_moments(image, eps), depth + 1))]
-    dim = image.dim
-    series = SquareMatrix(tuple(
-        tuple(TruncSeries(depth, [c.entry(i, j) for c in coeffs]) for j in range(dim))
-        for i in range(dim)
-    ))
-    return determinant_by_permutations(series)
+    return determinant_by_permutations(
+        image.map_entries(lambda p: laurent_to_series(p, eps, depth)))
 
 
 def series_det_identity_holds(image, eps, depth, lead):
     expected = TruncSeries(depth, [1] + [0] * (depth - 1) + [matrix_trace(lead)])
     return series_determinant(image, eps, depth) == expected
+
+
+def assert_truncated_determinant_matches_series(image, eps, depth):
+    assert substitute_t(_truncated_determinant(image, eps, depth), depth) == \
+        series_determinant(image, eps, depth)
 
 
 def assert_integer_determinant_matches_series(rep, word, eps):
@@ -577,11 +606,7 @@ def assert_integer_determinant_matches_series(rep, word, eps):
         return
     image = evaluate_word(word, rep.generators)
     depth = report.depth
-    scaled = _scaled_determinant(image, eps, depth)
-    series = series_determinant(image, eps, depth)
-    scale = factorial(depth)
-    for j in range(depth + 1):
-        assert scaled.coefficient(j) == series.coefficient(j) * scale ** j
+    assert_truncated_determinant_matches_series(image, eps, depth)
     for lead in (report.delta, report.delta + SquareMatrix.identity(5),
                  report.delta.map_entries(lambda x: -x)):
         assert _det_identity_holds(image, eps, depth, lead) == series_det_identity_holds(
@@ -600,22 +625,28 @@ class TestIntegerDeterminantAgainstSeries:
     def test_generated_torelli_words(self, rep6, word, eps):
         assert_integer_determinant_matches_series(rep6, word, eps)
 
+    @settings(max_examples=30)
+    @given(word=st.one_of(short_words, conjugates), eps=signs)
+    def test_coefficients_match_the_binomial_series(self, rep6, word, eps):
+        image = evaluate_word(word, rep6.generators)
+        series = image.map_entries(lambda p: t_series(p, eps, 4))
+        for j, coefficient in enumerate(islice(_coefficients(image, eps), 5)):
+            assert coefficient == _series_coefficient(series, j)
+            assert all(type(x) is int for row in coefficient.entries for x in row)
+
     # every Torelli image has leading trace 0, so words alone never test
-    # the h^k coefficient of the identity; any Laurent matrix does, since
-    # h -> k! * h commutes with the determinant
+    # the t^k coefficient of the identity; any Laurent matrix does, since
+    # the substitution t = e^h - 1 commutes with the determinant
     @settings(max_examples=30)
     @given(word=short_words, eps=signs, depth=st.integers(1, 4))
     def test_any_image_at_any_depth(self, rep6, word, eps, depth):
         image = evaluate_word(word, rep6.generators)
-        scaled = _scaled_determinant(image, eps, depth)
-        series = series_determinant(image, eps, depth)
-        for j in range(depth + 1):
-            assert scaled.coefficient(j) == series.coefficient(j) * factorial(depth) ** j
+        assert_truncated_determinant_matches_series(image, eps, depth)
 
     @pytest.mark.parametrize("eps", [1, -1])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_a_nonzero_leading_trace(self, eps, depth):
-        # 1 + v^depth with v = eps * (u - eps) = e^h - 1 is 1 + h^depth + ...,
+        # 1 + v^depth with v = eps * (u - eps) = e^h - 1 = t is 1 + t^depth,
         # put in a corner and conjugated by a unimodular matrix: leading
         # matrix of trace 1 at the given depth
         v = LaurentPoly({1: eps, 0: -1})
@@ -634,8 +665,7 @@ class TestIntegerDeterminantAgainstSeries:
         assert (found, matrix_trace(lead)) == (depth, 1)
         assert series_det_identity_holds(image, eps, depth, lead)
         assert _det_identity_holds(image, eps, depth, lead)
-        scaled = _scaled_determinant(image, eps, depth)
-        assert scaled.coefficient(depth) == factorial(depth) ** depth
+        assert _truncated_determinant(image, eps, depth).coefficient(depth) == 1
         for wrong in (SquareMatrix.zero(5), lead * 2, lead - SquareMatrix.identity(5)):
             assert not series_det_identity_holds(image, eps, depth, wrong)
             assert not _det_identity_holds(image, eps, depth, wrong)

@@ -187,20 +187,6 @@ class TestInversion:
             assert matrix_determinant(m) == 1
             assert m * matrix_inverse(m) == SquareMatrix.identity(3)
 
-    def test_series_inverse(self):
-        n = 3
-        order = 6
-        rng = random.Random(10)
-        nil = rand_int_matrix(rng, n, -3, 3)
-        h = TruncSeries(order, (0, 1))
-        m = SquareMatrix.identity(n).map_entries(
-            lambda x: TruncSeries.constant(x, order)
-        ) + nil.map_entries(lambda x: TruncSeries.constant(x, order) * h)
-        one = SquareMatrix.identity(n).map_entries(
-            lambda x: TruncSeries.constant(x, order)
-        )
-        assert m * matrix_inverse(m) == one
-
 
 class TestSeriesValuation:
     def _embed(self, const, coeff, k, order):
