@@ -77,6 +77,8 @@ def main(argv=None) -> int:
         print(f"search exhausted: {exc}", file=sys.stderr)
         for eta, a, m, reason in exc.failures:
             print(f"  eta={eta:+d} a={a} m={m}: {reason}", file=sys.stderr)
+        if exc.tried > len(exc.failures):
+            print(f"  ... {exc.tried - len(exc.failures)} more not listed", file=sys.stderr)
         return 2
     except G2JonesError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -44,9 +44,10 @@ class NoSolutionError(G2JonesError):
 class SearchExhaustedError(G2JonesError):
     """Every candidate in a search range failed validation."""
 
-    def __init__(self, failures, message: str | None = None):
+    def __init__(self, failures, message: str | None = None, tried: int | None = None):
         self.failures = list(failures)
-        super().__init__(message or f"no valid candidate among {len(self.failures)} tried")
+        self.tried = len(self.failures) if tried is None else tried
+        super().__init__(message or f"no valid candidate among {self.tried} tried")
 
 
 class SchemaError(G2JonesError):

@@ -8,10 +8,15 @@ leading matrix.  :func:`analyze` packages depth, leading matrix, trace,
 a determinant identity check, and the projection onto scalars into one
 report.
 
-No series is formed: the expansion is read in t = e^h - 1, where c * u^e
-= c * eps^e * (1 + t)^e has the integer t^j coefficient c * eps^e *
-binom(e, j), taken for j = 0 .. k only; ``order`` bounds the search for
-k.  As t = h + O(h^2), depth and C are the same in t as in h.
+No series is formed: the expansion is read in t = e^h - 1, where u =
+eps * (1 + t) and u^-1 = eps * (1 - t + t^2 - ...) have integer
+coefficients.  Each word is multiplied out over Z[t]/(t^(K+1)), its
+entries tuples of K + 1 integers however long the word, for K = 2, 4,
+8, ... until a nonzero t^k coefficient appears or K reaches ``order``.
+As t = h + O(h^2), depth and C are the same in t as in h.  A word still
+trivial through t^MAX_T_ORDER is read from its image over Z[u, u^-1]
+instead, where c * u^e has the t^j coefficient c * eps^e * binom(e, j);
+an identity image there ends the search at once for any order.
 
 The determinant identity asserted for every analyzed word: det of the
 series matrix agrees with 1 + h^k * trace(C) modulo h^(k+1), so also
@@ -20,8 +25,8 @@ polynomials in t built from coefficients 0 .. k, by the
 permutation-sum determinant, deliberately a different code path from
 the subset dynamic program used elsewhere.
 
-A word's Laurent image is evaluated once and kept in a small memo, so
-both signs of a report and the calculus checks share it.
+Images are kept in small memos, so a report's determinant check and the
+calculus checks at one sign reuse them.
 """
 
 from __future__ import annotations
@@ -42,9 +47,12 @@ from .matrices import SquareMatrix, determinant_by_permutations, matrix_trace
 from .rep import Normalization, RepDefinition, degree0_generators
 from .rings import LaurentPoly, laurent_to_series
 from .symplectic import is_torelli
-from .words import MCGWord, evaluate_word
+from .words import MCGWord, evaluate_truncated, evaluate_word, letter_factor
 
 DEFAULT_ORDER = 12
+# largest K for which a word is multiplied out over Z[t]/(t^(K+1)); a
+# word trivial through t^MAX_T_ORDER is read from its Laurent image
+MAX_T_ORDER = 16
 
 
 def word_series(rep: RepDefinition, word: MCGWord, eps: int, order: int) -> SquareMatrix:
@@ -52,8 +60,8 @@ def word_series(rep: RepDefinition, word: MCGWord, eps: int, order: int) -> Squa
 
     Substitution is a ring homomorphism, so this equals evaluating the
     word in the already-substituted generator matrices.  The reports
-    read the expansion in t = e^h - 1 instead, as integer binomial sums
-    of the Laurent image; this series route is their independent
+    read the expansion in t = e^h - 1 instead, multiplying the word out
+    over Z[t]/(t^(K+1)); this series route is their independent
     reference.
     """
     laurent = evaluate_word(word, rep.generators)
@@ -95,13 +103,18 @@ class FiltrationReport:
         }
 
 
-def _coefficients(image: SquareMatrix, eps: int):
+def _coefficients(image, eps: int):
     """Yield the integer t^j coefficient matrix of the image at u = eps * (1 + t).
 
     For j = 0, 1, 2, ...; a term c * u^e contributes c * eps^e *
     binom(e, j), with the weight eps^e * binom(e, j) computed once per
     distinct exponent.  For e < 0, binom(e, j) = (-1)^j * binom(j - e - 1, j).
+    An image already evaluated in t, the tuple of its t^0 .. t^K
+    coefficient matrices, yields those and stops.
     """
+    if isinstance(image, tuple):
+        yield from image
+        return
     terms = image.map_entries(
         lambda p: tuple(p.items()) if isinstance(p, LaurentPoly) else ((0, p),)
     )
@@ -115,31 +128,43 @@ def _coefficients(image: SquareMatrix, eps: int):
         yield terms.map_entries(lambda entry: sum(c * weights[e] for e, c in entry))
 
 
+def _require_identity(constant: SquareMatrix, word: MCGWord) -> None:
+    """Raise :class:`Degree0NontrivialError` at the first entry where the constant term is not I."""
+    for i, row in enumerate(constant.entries):
+        for j, x in enumerate(row):
+            if x != int(i == j):
+                raise Degree0NontrivialError(
+                    f"constant term of {word.abbreviated()} differs from the identity at ({i}, {j})"
+                )
+
+
+def _first_nonzero(coefficients, order: int):
+    """(k, C) for the first nonzero coefficient C at 1 <= k <= order, or None."""
+    for k, coefficient in zip(range(1, order + 1), coefficients):
+        if any(any(row) for row in coefficient.entries):
+            return k, coefficient
+    return None
+
+
 def _leading_term(image: SquareMatrix, eps: int, order: int, word: MCGWord):
-    """Depth k <= order and leading matrix of an image that is I + h^k * C + ...
+    """Depth k <= order and leading matrix of a Laurent image that is I + h^k * C + ...
 
     Raises :class:`Degree0NontrivialError` at the first entry where the
     constant term differs from the identity, and
     :class:`ValuationExceedsOrderError` when no k <= order has C != 0.
     """
     coefficients = _coefficients(image, eps)
-    for i, row in enumerate(next(coefficients).entries):
-        for j, x in enumerate(row):
-            if x != int(i == j):
-                raise Degree0NontrivialError(
-                    f"constant term of {word.abbreviated()} differs from the identity at ({i}, {j})"
-                )
+    _require_identity(next(coefficients), word)
     # a nonzero entry of image - I with n terms has a nonzero t^j
     # coefficient at some j < n: the binom(e, j) with j < n span the same
     # polynomials in e as the e^j (Vandermonde), so only the identity
     # searches up to order
     if image == SquareMatrix.identity(image.dim):
         raise ValuationExceedsOrderError(order)
-    zero = SquareMatrix.zero(image.dim)
-    for k, coefficient in zip(range(1, order + 1), coefficients):
-        if coefficient != zero:
-            return k, coefficient
-    raise ValuationExceedsOrderError(order)
+    found = _first_nonzero(coefficients, order)
+    if found is None:
+        raise ValuationExceedsOrderError(order)
+    return found
 
 
 def _truncated_determinant(image: SquareMatrix, eps: int, depth: int) -> LaurentPoly:
@@ -149,7 +174,7 @@ def _truncated_determinant(image: SquareMatrix, eps: int, depth: int) -> Laurent
     used as Z[t]; the coefficients are read apart from :func:`_leading_term`.
     """
     coeffs = list(islice(_coefficients(image, eps), depth + 1))
-    dim = image.dim
+    dim = coeffs[0].dim
     return determinant_by_permutations(SquareMatrix(tuple(
         tuple(LaurentPoly({j: c.entry(a, b) for j, c in enumerate(coeffs)}) for b in range(dim))
         for a in range(dim)
@@ -164,14 +189,83 @@ def _det_identity_holds(image: SquareMatrix, eps: int, depth: int, lead: SquareM
 
 @lru_cache(maxsize=4)
 def _laurent_image(word: MCGWord, generators: tuple) -> SquareMatrix:
-    """The word's image over Z[u, u^-1], kept for both signs and every check.
+    """The word's image over Z[u, u^-1], for words trivial through t^MAX_T_ORDER.
 
     Keyed on the generators too, so a representation never reads another
-    one's image.  Four entries: a calculus check holds three images (x, y
-    and their product or commutator), and the other sign of the same
-    check reuses all of them.
+    one's image; both signs share it.
     """
     return evaluate_word(word, generators)
+
+
+@lru_cache(maxsize=8)
+def _t_letters(generators: tuple, eps: int, order: int) -> dict:
+    """Per letter, its matrix at u = eps * (1 + t) as sparse columns of t^0 .. t^order tuples.
+
+    Filled lazily by :func:`_t_image` from the letter's Laurent matrix.
+    """
+    return {}
+
+
+def _t_columns(matrix: SquareMatrix, eps: int, order: int) -> tuple:
+    """A Laurent letter matrix's nonzero columns of t^0 .. t^order coefficient tuples."""
+    coefficients = list(islice(_coefficients(matrix, eps), order + 1))
+    dim = matrix.dim
+    entries = [[tuple(c.entries[i][j] for c in coefficients) for j in range(dim)]
+               for i in range(dim)]
+    return tuple(
+        tuple((i, entries[i][j]) for i in range(dim) if any(entries[i][j]))
+        for j in range(dim)
+    )
+
+
+@lru_cache(maxsize=8)
+def _t_image(word: MCGWord, generators: tuple, eps: int, order: int) -> tuple:
+    """The t^0 .. t^order coefficient matrices of the word's image at u = eps * (1 + t).
+
+    The word is multiplied out over Z[t]/(t^(order+1)), so no Laurent
+    image is formed.  Eight entries: a calculus check holds three images
+    per sign.
+    """
+    columns = _t_letters(generators, eps, order)
+    for letter in set(word.letters) - columns.keys():
+        columns[letter] = _t_columns(letter_factor(generators, letter)[0], eps, order)
+    dim = generators[0].dim
+    rows = evaluate_truncated(word, columns, dim, order)
+    return tuple(
+        SquareMatrix(tuple(tuple(entry[j] for entry in row) for row in rows))
+        for j in range(order + 1)
+    )
+
+
+def _image_through(word: MCGWord, generators: tuple, eps: int, depth: int):
+    """An image whose coefficients reach t^depth: over Z[t] up to MAX_T_ORDER, else Laurent."""
+    if depth <= MAX_T_ORDER:
+        return _t_image(word, generators, eps, max(depth, 2))
+    return _laurent_image(word, generators)
+
+
+def _expansion(word: MCGWord, generators: tuple, eps: int, order: int):
+    """(image, depth k <= order, leading matrix) of a word's image I + t^k * C + ...
+
+    Evaluates over Z[t]/(t^(K+1)) for K = 2, 4, 8, .. up to order; K = 2
+    settles depths 1 and 2 at once.  A word still trivial at
+    MAX_T_ORDER is read from its Laurent image, whose identity test and
+    Vandermonde bound end the search at once for any order.
+    """
+    K = 2
+    while K <= MAX_T_ORDER:
+        K = min(K, order)
+        image = _t_image(word, generators, eps, K)
+        coefficients = iter(image)
+        _require_identity(next(coefficients), word)
+        found = _first_nonzero(coefficients, K)
+        if found is not None:
+            return (image, *found)
+        if K == order:
+            raise ValuationExceedsOrderError(order)
+        K *= 2
+    image = _laurent_image(word, generators)
+    return (image, *_leading_term(image, eps, order, word))
 
 
 def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_ORDER) -> FiltrationReport:
@@ -188,8 +282,7 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
         raise ValueError("order must be an integer >= 2")
     if not is_torelli(word):
         raise NotTorelliError(f"word {word.abbreviated()} acts nontrivially on homology")
-    image = _laurent_image(word, tuple(rep.generators))
-    depth, lead = _leading_term(image, eps, order, word)
+    image, depth, lead = _expansion(word, tuple(rep.generators), eps, order)
     trace = Fraction(matrix_trace(lead))
     return FiltrationReport(
         word=str(word),
@@ -208,8 +301,8 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
 
 def verify_det_lemma(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_ORDER) -> bool:
     """Stand-alone check of the determinant identity for one word."""
-    image = _laurent_image(word, tuple(rep.generators))
-    return _det_identity_holds(image, eps, *_leading_term(image, eps, order, word))
+    image, depth, lead = _expansion(word, tuple(rep.generators), eps, order)
+    return _det_identity_holds(image, eps, depth, lead)
 
 
 @dataclass(frozen=True)
@@ -235,8 +328,9 @@ def _check_leading_term(
 ) -> LeadingTermCheck:
     """Compare the image at u = eps * e^h with I + h^depth * expected + O(h^(depth+1))."""
     coefficients = list(islice(_coefficients(image, eps), depth + 1))
-    zero = SquareMatrix.zero(image.dim)
-    below = coefficients[0] == SquareMatrix.identity(image.dim) and all(
+    dim = coefficients[0].dim
+    zero = SquareMatrix.zero(dim)
+    below = coefficients[0] == SquareMatrix.identity(dim) and all(
         c == zero for c in coefficients[1:depth]
     )
     actual = coefficients[depth]
@@ -266,7 +360,7 @@ def check_delta_additivity(
         raise DepthMismatchError(
             f"depth {rx.depth} for {x} vs depth {ry.depth} for {y}"
         )
-    image = _laurent_image(x * y, tuple(rep.generators))
+    image = _image_through(x * y, tuple(rep.generators), eps, rx.depth)
     return _check_leading_term(image, eps, rx.depth, rx.delta + ry.delta)
 
 
@@ -306,5 +400,5 @@ def check_bracket(
         raise ValuationExceedsOrderError(
             order, f"depths {rx.depth} + {ry.depth} exceed order {order}"
         )
-    image = _laurent_image(x.commutator(y), tuple(rep.generators))
+    image = _image_through(x.commutator(y), tuple(rep.generators), eps, target)
     return _check_leading_term(image, eps, target, rx.delta * ry.delta - ry.delta * rx.delta)

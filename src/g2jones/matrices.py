@@ -172,24 +172,27 @@ def determinant_by_permutations(matrix: SquareMatrix):
     """Determinant as a signed sum over permutations.
 
     Independent of :func:`matrix_determinant`; kept deliberately naive so
-    the two routes cannot share a bug.  Guarded to dim <= 6 because the
-    sum has dim! terms.
+    the two routes cannot share a bug, except that a term stops at its
+    first zero factor.  Guarded to dim <= 6 because the sum has dim!
+    terms.
     """
     n = matrix.dim
     if n > _PERM_DET_MAX_DIM:
         raise ValueError(f"permutation-sum determinant limited to dim <= {_PERM_DET_MAX_DIM}")
     rows = matrix.entries
-    total = None
+    total = rows[0][0] * 0
     for perm in permutations(range(n)):
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            if not term:
+                break
+            term = term * rows[i][perm[i]]
+        if not term:  # a zero factor: the term adds nothing
+            continue
         inversions = sum(
             1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
         )
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        if inversions % 2:
-            term = -term
-        total = term if total is None else total + term
+        total = total - term if inversions % 2 else total + term
     return total
 
 

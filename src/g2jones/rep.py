@@ -152,6 +152,19 @@ def validate_representation(rep: RepDefinition) -> RelationReport:
     return RelationReport((gate,) + report.checks, determinant=sign)
 
 
+# most (eta, a, m) candidates one search scans; counted before the scan
+MAX_SEARCH_CANDIDATES = 100_000
+# most failed candidates an exhausted search lists; the rest are counted
+MAX_LISTED_FAILURES = 100
+
+
+def generator_determinant(eta: int, a: int, m: int) -> LaurentPoly:
+    """det of each generator of :func:`build_rep`: eta^d * (-1)^r * u^(d*a + 2*r*m)."""
+    d = len(enumerate_link_patterns(6))
+    r = len(enumerate_link_patterns(4))
+    return LaurentPoly.monomial(d * a + 2 * r * m, eta ** d * (-1) ** r)
+
+
 def search_valid_rep(
     eta_candidates=(1, -1),
     a_values=range(-8, 1),
@@ -159,27 +172,43 @@ def search_valid_rep(
 ) -> RepDefinition:
     """First (eta, m, a) candidate, in deterministic order, passing all checks.
 
-    Candidates failing the determinant gate are rejected without running
-    the relation checks.  When nothing passes, the raised
-    :class:`SearchExhaustedError` carries one (eta, a, m, reason) record
-    per candidate.
+    A candidate whose generator determinant, read from the formula of
+    :func:`generator_determinant`, is not +1 or -1 is rejected without
+    building it; the others are built and get the full determinant gate
+    and relation checks.  Ranges of more than ``MAX_SEARCH_CANDIDATES``
+    raise :class:`SchemaError` before any scan.  When nothing passes, the
+    raised :class:`SearchExhaustedError` carries one (eta, a, m, reason)
+    record for each of the first ``MAX_LISTED_FAILURES`` candidates.
     """
+    total = len(eta_candidates) * len(m_values) * len(a_values)
+    if total > MAX_SEARCH_CANDIDATES:
+        raise SchemaError(
+            f"search range holds {total} candidates, more than {MAX_SEARCH_CANDIDATES}"
+        )
     failures = []
+
+    def fail(eta, a, m, reason):
+        if len(failures) < MAX_LISTED_FAILURES:
+            failures.append((eta, a, m, reason))
+
     for eta in eta_candidates:
         for m in m_values:
             for a in a_values:
+                det = generator_determinant(eta, a, m)
+                if det != 1 and det != -1:
+                    fail(eta, a, m, f"det of generator c1 is {det}, not +1 or -1")
+                    continue
                 candidate = build_rep(eta, a, m)
                 try:
                     rep_determinant_sign(candidate)
                 except DeterminantNotUnitSignError as exc:
-                    failures.append((eta, a, m, str(exc)))
+                    fail(eta, a, m, str(exc))
                     continue
                 report = check_presentation(candidate.generators)
                 if report.passed:
                     return candidate
-                failed = report.first_failure()
-                failures.append((eta, a, m, f"relation failed: {failed.name}"))
-    raise SearchExhaustedError(failures)
+                fail(eta, a, m, f"relation failed: {report.first_failure().name}")
+    raise SearchExhaustedError(failures, tried=total)
 
 
 def _entry_to_pairs(poly: LaurentPoly) -> list:

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 class LaurentPoly:
     """Laurent polynomial in one variable with integer coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -164,7 +164,12 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        # kept after the first call: generator tuples key several memos
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self._coeffs.items()))
+            return self._hash
 
     def __bool__(self):
         return bool(self._coeffs)

@@ -252,6 +252,58 @@ def evaluate_word(word: MCGWord, generators) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
+def evaluate_truncated(word: MCGWord, columns: dict, dim: int, order: int) -> list:
+    """Multiply out a word over Z[t]/(t^(order+1)).
+
+    ``columns`` maps each letter of the word to its matrix's nonzero
+    columns, as (k, entry) pairs whose entry is the tuple of its t^0 ..
+    t^order integer coefficients.  Entries never grow past order + 1
+    coefficients, however long the word.  Returns the product's rows,
+    lists of such tuples.
+    """
+    zero = (0,) * (order + 1)
+    rows = [[(1,) + zero[1:] if i == j else zero for j in range(dim)] for i in range(dim)]
+    step = _truncated_step2 if order == 2 else _truncated_step
+    for letter in word.letters:
+        rows = step(rows, columns[letter])
+    return rows
+
+
+def _truncated_step(rows: list, columns: tuple) -> list:
+    """rows times the sparse columns, each entry product cut after t^order."""
+    n = len(rows[0][0])
+    out = []
+    for row in rows:
+        new = []
+        for column in columns:
+            acc = [0] * n
+            for k, b in column:
+                for i, a in enumerate(row[k]):
+                    if a:
+                        for j in range(n - i):
+                            acc[i + j] += a * b[j]
+            new.append(tuple(acc))
+        out.append(new)
+    return out
+
+
+def _truncated_step2(rows: list, columns: tuple) -> list:
+    """:func:`_truncated_step` at order 2, unrolled: most words settle there."""
+    out = []
+    for row in rows:
+        new = []
+        for column in columns:
+            s0 = s1 = s2 = 0
+            for k, (b0, b1, b2) in column:
+                a0, a1, a2 = row[k]
+                s0 += a0 * b0
+                s1 += a0 * b1 + a1 * b0
+                s2 += a0 * b2 + a1 * b1 + a2 * b0
+            new.append((s0, s1, s2))
+        out.append(new)
+    return out
+
+
 @lru_cache(maxsize=4)
 def _sparse_factors(gens: tuple) -> dict:
     """Per letter (generator, exponent): its matrix and nonzero columns.
@@ -261,6 +313,14 @@ def _sparse_factors(gens: tuple) -> dict:
     tuple, not once per call.
     """
     return {}
+
+
+def letter_factor(gens: tuple, letter: tuple) -> tuple:
+    """The matrix of one letter (generator, exponent) and its nonzero columns, kept per tuple."""
+    factors = _sparse_factors(gens)
+    if letter not in factors:
+        factors[letter] = _letter_factor(gens, factors, *letter)
+    return factors[letter]
 
 
 def _letter_factor(gens: tuple, factors: dict, gen: int, exp: int) -> tuple:

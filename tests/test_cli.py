@@ -1,6 +1,7 @@
 """End-to-end command-line runs, executed in process via main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from g2jones.presentation import RELATIONS
 from g2jones.rep import RepDefinition, rep_from_document, rep_to_document
 
 DEEP_WORD = "[[(c1 c2)^6, (c2 c3)^6], (c3 c4)^6]"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -195,6 +197,16 @@ class TestAnalyze:
             assert entry["trivial_projection"] == "0"
             assert entry["det_lemma_ok"] is True
 
+    def test_catalog_json_equals_the_golden_reports(self, workdir, rep_file, capsys):
+        golden = json.loads((ROOT / "benchmarks" / "golden" / "analyze_catalog.json")
+                            .read_text(encoding="utf-8"))
+        assert main(["analyze", "--rep", rep_file, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["reports"]) == len(golden["reports"]) == 40
+        for ours, theirs in zip(doc["reports"], golden["reports"]):
+            assert ours == theirs
+        assert doc == golden
+
     def test_case_and_order_flags(self, workdir, rep_file, capsys):
         code = main(["analyze", "--rep", rep_file, "--word", "(c2 c3)^6",
                      "--case", "minus", "--order", "4", "--json"])
@@ -375,6 +387,19 @@ class TestSearch:
     def test_bad_window_is_schema_error(self, workdir, capsys):
         assert main(["search", "--max-a", "-1"]) == 3
         assert "schema error" in capsys.readouterr().err
+
+    def test_huge_window_is_schema_error(self, workdir, capsys):
+        assert main(["search", "--max-a", "100000", "--max-m", "100000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: search range holds 20000200000 candidates")
+
+    def test_long_exhaustion_lists_are_cut(self, workdir, capsys):
+        assert main(["search", "--max-m", "4", "--max-a", "1000"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        listed = rep_module.MAX_LISTED_FAILURES
+        assert lines[0] == "search exhausted: no valid candidate among 8008 tried"
+        assert len(lines) == 1 + listed + 1
+        assert lines[-1] == f"  ... {8008 - listed} more not listed"
 
     def test_out_feeds_validate(self, workdir, capsys):
         target = workdir / "found.json"

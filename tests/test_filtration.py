@@ -53,8 +53,11 @@ from g2jones.filtration import (
     _coefficients,
     _det_identity_holds,
     _laurent_image,
+    _t_image,
+    _t_letters,
     _truncated_determinant,
 )
+from g2jones.words import evaluate_truncated
 from g2jones.matrices import SquareMatrix
 
 X12 = parse_word("(c1 c2)^6")
@@ -471,9 +474,11 @@ class TestErrorMessages:
 
 
 # ------------------------------------------------------------------
-# One Laurent image per word: a memo keyed on the word and the
-# generators, read by both signs and every check.  A fresh
-# evaluate_word is the reference.
+# Reports multiply each word out over Z[t]/(t^(K+1)), once per sign and
+# K, kept in a memo keyed on the word, the generators, the sign and K.
+# Words trivial through t^MAX_T_ORDER read a Laurent image instead, kept
+# in a memo keyed on the word and the generators and shared by both
+# signs.  A fresh evaluate_word is the reference.
 
 def _broken_rep(rep):
     """rep with c1 negated: other generators, so other images."""
@@ -492,6 +497,20 @@ def _count_evaluations(monkeypatch, rep):
 
     monkeypatch.setattr(filtration, "evaluate_word", counting)
     _laurent_image.cache_clear()
+    return calls
+
+
+def _count_t_evaluations(monkeypatch, rep):
+    """Record (word, sign, K) for each word filtration multiplies out in t over rep."""
+    calls = []
+
+    def counting(word, columns, dim, order):
+        calls.extend((word, eps, order) for eps in (1, -1)
+                     if columns is _t_letters(rep.generators, eps, order))
+        return evaluate_truncated(word, columns, dim, order)
+
+    monkeypatch.setattr(filtration, "evaluate_truncated", counting)
+    _t_image.cache_clear()
     return calls
 
 
@@ -536,26 +555,37 @@ class TestLaurentImageMemo:
                 with pytest.raises(expected):
                     analyze(rep, relator, 1)
 
-    def test_both_signs_share_one_evaluation(self, rep6, monkeypatch):
-        calls = _count_evaluations(monkeypatch, rep6)
-        plus = analyze(rep6, X12.commutator(X23), 1)
-        minus = analyze(rep6, parse_word(str(X12.commutator(X23))), -1)
-        assert len(calls) == 1
+    def test_one_t_evaluation_per_sign(self, rep6, monkeypatch):
+        laurent = _count_evaluations(monkeypatch, rep6)
+        calls = _count_t_evaluations(monkeypatch, rep6)
+        word = X12.commutator(X23)
+        plus = analyze(rep6, word, 1)
+        minus = analyze(rep6, parse_word(str(word)), -1)
         assert (plus.depth, minus.depth) == (2, 2)
-        assert verify_det_lemma(rep6, X12.commutator(X23), -1)
-        assert len(calls) == 1
+        assert verify_det_lemma(rep6, word, -1)
+        # depth 2 settles at K = 2; the determinant check reads the same image
+        assert calls == [(word, 1, 2), (word, -1, 2)]
+        assert laurent == []
 
-    @pytest.mark.parametrize("check,expected", [
-        (lambda rep, eps: check_delta_additivity(rep, X12, X23, eps).holds, 3),
-        (lambda rep, eps: check_bracket(rep, X12, X23, eps).holds, 3),
-        (lambda rep, eps: check_equivariance(rep, parse_word("c3"), X23, eps), 2),
+    @pytest.mark.parametrize("check,words", [
+        (lambda rep, eps: check_delta_additivity(rep, X12, X23, eps).holds,
+         (X12, X23, X12 * X23)),
+        (lambda rep, eps: check_bracket(rep, X12, X23, eps).holds,
+         (X12, X23, X12.commutator(X23))),
+        (lambda rep, eps: check_equivariance(rep, parse_word("c3"), X23, eps),
+         (X23, parse_word("c3") * X23 * parse_word("c3^-1"))),
     ], ids=["additivity", "bracket", "equivariance"])
-    def test_calculus_checks_evaluate_each_image_once(self, rep6, monkeypatch, check, expected):
-        calls = _count_evaluations(monkeypatch, rep6)
+    def test_calculus_checks_evaluate_each_image_once(self, rep6, monkeypatch, check, words):
+        laurent = _count_evaluations(monkeypatch, rep6)
+        calls = _count_t_evaluations(monkeypatch, rep6)
         assert check(rep6, 1) and check(rep6, -1)
-        # x, y and x*y or [x, y]; for equivariance x and g x g^-1; the
-        # second sign reuses them all
-        assert len(calls) == expected
+        # x, y and x*y or [x, y]; for equivariance x and g x g^-1: each
+        # once per sign, all at K = 2
+        assert calls == [(w, eps, 2) for eps in (1, -1) for w in words]
+        # within a sign, running the check again reuses its images
+        assert check(rep6, -1) and check(rep6, 1)
+        assert len(calls) == 2 * len(words)
+        assert laurent == []
 
 
 # ------------------------------------------------------------------
@@ -669,3 +699,68 @@ class TestIntegerDeterminantAgainstSeries:
         for wrong in (SquareMatrix.zero(5), lead * 2, lead - SquareMatrix.identity(5)):
             assert not series_det_identity_holds(image, eps, depth, wrong)
             assert not _det_identity_holds(image, eps, depth, wrong)
+
+
+# ------------------------------------------------------------------
+# The t-evaluator against the Laurent readout: multiplying a word out
+# over Z[t]/(t^(K+1)) gives the t^0 .. t^K coefficient matrices that
+# _coefficients reads off its Laurent image, at every K the doubling
+# visits (up to DEFAULT_ORDER, or up to MAX_T_ORDER for larger orders).
+
+T_ORDERS = (2, 4, 8, DEFAULT_ORDER, filtration.MAX_T_ORDER)
+DEEP = parse_word("[[(c1 c2)^6, (c2 c3)^6], (c3 c4)^6]")
+GROUP_TRIVIAL = parse_word("(c1 c2 c3 c4 c5)^6")
+
+
+def assert_t_image_matches_laurent(rep, word, eps):
+    laurent = evaluate_word(word, rep.generators)
+    expected = tuple(islice(_coefficients(laurent, eps), max(T_ORDERS) + 1))
+    for order in T_ORDERS:
+        assert _t_image(word, rep.generators, eps, order) == expected[:order + 1]
+
+
+class TestTruncatedEvaluation:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_catalog(self, rep6, catalog, eps):
+        for _, word in catalog:
+            assert_t_image_matches_laurent(rep6, word, eps)
+
+    @settings(max_examples=25)
+    @given(word=st.one_of(short_words, conjugates, commutators), eps=signs)
+    def test_generated_words(self, rep6, word, eps):
+        assert_t_image_matches_laurent(rep6, word, eps)
+
+    @pytest.mark.parametrize("word,order,visits", [
+        (X12, DEFAULT_ORDER, (2,)),
+        (DEEP, DEFAULT_ORDER, (2, 4)),
+        (DEEP, 3, (2, 3)),
+        (GROUP_TRIVIAL, DEFAULT_ORDER, (2, 4, 8, 12)),
+        (GROUP_TRIVIAL, 1_000_000_000, (2, 4, 8, 16)),
+    ], ids=["depth1", "depth3", "depth3-order3", "trivial", "trivial-huge-order"])
+    def test_the_orders_the_doubling_visits(self, rep6, monkeypatch, word, order, visits):
+        laurent = _count_evaluations(monkeypatch, rep6)
+        calls = _count_t_evaluations(monkeypatch, rep6)
+        try:
+            analyze(rep6, word, -1, order)
+        except ValuationExceedsOrderError as exc:
+            assert str(exc) == str(ValuationExceedsOrderError(order))
+        assert calls == [(word, -1, k) for k in visits]
+        # only a word trivial through t^MAX_T_ORDER reads its Laurent image
+        assert laurent == ([word] if order > filtration.MAX_T_ORDER else [])
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_laurent_fallback_gives_identical_reports(self, rep6, catalog, monkeypatch, eps):
+        words = [word for _, word in catalog]
+        expected = [analyze(rep6, word, eps).to_document() for word in words]
+        nested = check_bracket(rep6, X12.commutator(X23), X34, eps)
+        monkeypatch.setattr(filtration, "MAX_T_ORDER", 2)
+        laurent = _count_evaluations(monkeypatch, rep6)
+        _t_image.cache_clear()
+        assert [analyze(rep6, word, eps).to_document() for word in words] == expected
+        assert laurent == [word for word in words if word.letter_length() == 120]
+        assert len(laurent) == CATALOG_DEPTHS.count(3)
+        # a check deeper than the cap reads the Laurent image too
+        laurent.clear()
+        _laurent_image.cache_clear()
+        assert check_bracket(rep6, X12.commutator(X23), X34, eps) == nested
+        assert laurent == [X12.commutator(X23).commutator(X34)]

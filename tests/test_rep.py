@@ -26,7 +26,8 @@ from g2jones.errors import (
 )
 from g2jones.matrices import SquareMatrix
 from g2jones.presentation import RELATIONS
-from g2jones.rep import rep_determinant_sign
+from g2jones import rep as rep_module
+from g2jones.rep import generator_determinant, rep_determinant_sign
 
 U = LaurentPoly.variable()
 
@@ -141,6 +142,47 @@ class TestSearch:
     def test_small_window_exhausts(self):
         with pytest.raises(SearchExhaustedError):
             search_valid_rep(eta_candidates=(1,), a_values=(0,), m_values=(5,))
+
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_determinant_formula_matches_the_built_gate(self, eta):
+        for m in range(1, 7):
+            for a in range(-8, 1):
+                candidate = build_rep(eta, a, m)
+                det = generator_determinant(eta, a, m)
+                assert all(matrix_determinant(g) == det for g in candidate.generators)
+                if det in (1, -1):
+                    assert rep_determinant_sign(candidate) == det
+                else:
+                    with pytest.raises(DeterminantNotUnitSignError) as info:
+                        rep_determinant_sign(candidate)
+                    assert str(info.value) == f"det of generator c1 is {det}, not +1 or -1"
+
+    def test_only_the_surviving_candidate_is_built(self, monkeypatch):
+        built = []
+
+        def counting(eta, a, m):
+            built.append((eta, a, m))
+            return build_rep(eta, a, m)
+
+        monkeypatch.setattr(rep_module, "build_rep", counting)
+        assert search_valid_rep().normalization == Normalization(1, -4, 5)
+        assert built == [(1, -4, 5)]
+
+    def test_range_over_the_cap_is_refused_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(rep_module, "generator_determinant", None)  # never reached
+        cap = rep_module.MAX_SEARCH_CANDIDATES
+        with pytest.raises(SchemaError, match="candidates"):
+            search_valid_rep(a_values=range(cap), m_values=range(1, 3))
+        with pytest.raises(SchemaError):
+            search_valid_rep(a_values=range(-100_000, 1), m_values=range(1, 100_001))
+
+    def test_listed_failures_are_capped(self, monkeypatch):
+        monkeypatch.setattr(rep_module, "MAX_LISTED_FAILURES", 10)
+        with pytest.raises(SearchExhaustedError) as info:
+            search_valid_rep(m_values=range(1, 5))
+        assert len(info.value.failures) == 10
+        assert info.value.tried == 72
+        assert str(info.value) == "no valid candidate among 72 tried"
 
 
 class TestDocuments:

@@ -112,6 +112,17 @@ class TestLaurentPoly:
     def test_hashable_and_usable_in_sets(self):
         assert len({U, LaurentPoly.variable(), U + 1}) == 2
 
+    def test_kept_hash_is_the_hash_of_the_coefficients(self):
+        rng = random.Random(20261018)
+        for _ in range(100):
+            a, b = rand_poly(rng), rand_poly(rng)
+            for p in (a, a * b, a + b, -a):
+                expected = hash(frozenset(dict(p.items()).items()))
+                assert hash(p) == expected
+                assert hash(p) == expected  # the kept value
+                assert hash(LaurentPoly(dict(p.items()))) == expected
+                assert p == LaurentPoly(dict(p.items()))
+
     def test_monomial_products_match_point_evaluation(self):
         rng = random.Random(20260102)
         for _ in range(300):

@@ -314,3 +314,57 @@ class TestSparseEvaluation:
         info = words._sparse_factors.cache_info()
         assert info.currsize <= info.maxsize == 4
         assert (1, 1) in words._sparse_factors(gens)  # c1 was kept
+
+
+# the truncated product: entries are tuples of t^0 .. t^order integer
+# coefficients, columns hold only their nonzero entries
+def truncated_entries(order):
+    return st.tuples(*[st.integers(-10**12, 10**12)] * (order + 1))
+
+
+@st.composite
+def truncated_operands(draw, order, dim=5):
+    entry = truncated_entries(order)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    columns = tuple(
+        tuple(sorted(draw(st.dictionaries(st.integers(0, dim - 1), entry, max_size=dim)).items()))
+        for _ in range(dim)
+    )
+    return rows, columns
+
+
+def naive_truncated_step(rows, columns):
+    """Full polynomial products summed, then cut after t^order."""
+    n = len(rows[0][0])
+    out = []
+    for row in rows:
+        new = []
+        for column in columns:
+            full = [0] * (2 * n - 1)
+            for k, b in column:
+                for i, a in enumerate(row[k]):
+                    for j, c in enumerate(b):
+                        full[i + j] += a * c
+            new.append(tuple(full[:n]))
+        out.append(new)
+    return out
+
+
+class TestTruncatedEvaluation:
+    @settings(deadline=None, max_examples=60)
+    @given(truncated_operands(2))
+    def test_unrolled_order_two_matches_the_generic_step(self, operands):
+        rows, columns = operands
+        assert words._truncated_step2(rows, columns) == words._truncated_step(rows, columns)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 6).flatmap(truncated_operands))
+    def test_generic_step_matches_full_products_cut(self, operands):
+        rows, columns = operands
+        assert words._truncated_step(rows, columns) == naive_truncated_step(rows, columns)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_empty_word_is_the_identity(self, order):
+        rows = words.evaluate_truncated(MCGWord.identity(), {}, 5, order)
+        one, zero = (1,) + (0,) * order, (0,) * (order + 1)
+        assert rows == [[one if i == j else zero for j in range(5)] for i in range(5)]
