@@ -25,8 +25,18 @@ polynomials in t built from coefficients 0 .. k, by the
 permutation-sum determinant, deliberately a different code path from
 the subset dynamic program used elsewhere.
 
-Images are kept in small memos, so a report's determinant check and the
-calculus checks at one sign reuse them.
+Both signs share one evaluation.  Every entry of eta * u^a * (I + u^m *
+e_i) has one parity in u, so rho(-u) = S rho(u) S with S a diagonal
+sign matrix (the Temperley-Lieb symmetry e_i -> -e_i), and a word's
+image at u = -(1 + t) is parity^(exponent sum) * S (image at 1 + t) S;
+:func:`~g2jones.rep.sign_twist` finds S and the parity.  Generators
+without that symmetry, such as a loaded document whose entries mix
+parities, are multiplied out at each sign, and that direct route at -1
+is the reference the tests hold the twisted image to.  The minus report
+still runs the identity test, the doubling, the determinant identity and
+the leading-term checks on its own image.  Images are kept in small
+memos, so a report's determinant check and the calculus checks reuse
+them.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from .errors import (
     ValuationExceedsOrderError,
 )
 from .matrices import SquareMatrix, determinant_by_permutations, matrix_trace
-from .rep import Normalization, RepDefinition, degree0_generators
+from .rep import Normalization, RepDefinition, degree0_generators, sign_twist
 from .rings import LaurentPoly, laurent_to_series
 from .symplectic import is_torelli
 from .words import MCGWord, evaluate_truncated, evaluate_word, letter_factor
@@ -222,9 +232,32 @@ def _t_columns(matrix: SquareMatrix, eps: int, order: int) -> tuple:
 def _t_image(word: MCGWord, generators: tuple, eps: int, order: int) -> tuple:
     """The t^0 .. t^order coefficient matrices of the word's image at u = eps * (1 + t).
 
-    The word is multiplied out over Z[t]/(t^(order+1)), so no Laurent
-    image is formed.  Eight entries: a calculus check holds three images
-    per sign.
+    At eps = -1, generators with a :func:`~g2jones.rep.sign_twist` read
+    them off the memoised image at +1: w(-u) = parity^(exponent sum) *
+    S w(u) S, so entry (i, j) of each coefficient takes the sign
+    parity^(exponent sum) * s_i * s_j.  Otherwise the word is multiplied
+    out by :func:`_evaluate_in_t`.  Eight entries: a calculus check holds
+    three images per sign.
+    """
+    twist = sign_twist(generators) if eps == -1 else None
+    if twist is None:
+        return _evaluate_in_t(word, generators, eps, order)
+    parity, signs = twist
+    sign = parity if word.exponent_sum() % 2 else 1
+    flips = [[sign * r * s for s in signs] for r in signs]
+    return tuple(
+        SquareMatrix(tuple(
+            tuple(x * f for x, f in zip(row, flip)) for row, flip in zip(c.entries, flips)
+        ))
+        for c in _t_image(word, generators, 1, order)
+    )
+
+
+def _evaluate_in_t(word: MCGWord, generators: tuple, eps: int, order: int) -> tuple:
+    """:func:`_t_image` by multiplying the word out over Z[t]/(t^(order+1)).
+
+    No Laurent image is formed.  This is the route at +1, for generators
+    without a sign twist, and the reference for the twisted image at -1.
     """
     columns = _t_letters(generators, eps, order)
     for letter in set(word.letters) - columns.keys():

@@ -140,7 +140,9 @@ def matrix_determinant(matrix: SquareMatrix):
 
     ``minors[S]`` holds the determinant of the submatrix on the first
     ``popcount(S)`` rows and the column set S.  O(2^n * n) ring
-    operations and no division, so it works over Z[u, u^-1] directly.
+    operations and no division, so it works over Z[u, u^-1] directly;
+    products with a zero minor or a zero entry are skipped, which on the
+    sparse generator matrices leaves most of them out.
     """
     n = matrix.dim
     rows = matrix.entries
@@ -156,12 +158,15 @@ def matrix_determinant(matrix: SquareMatrix):
             bit = 1 << j
             if not (mask & bit):
                 continue
-            term = minors[mask ^ bit] * row[j]
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
+            minor = minors[mask ^ bit]
+            if minor and row[j]:  # a zero factor adds nothing
+                term = minor * row[j]
+                if sign < 0:
+                    term = -term
+                acc = term if acc is None else acc + term
             sign = -sign
-        minors[mask] = acc
+        # a zero minor keeps the type of its row's entries
+        minors[mask] = row[0] * 0 if acc is None else acc
     return minors[(1 << n) - 1]
 
 

@@ -13,6 +13,7 @@ by name, and :func:`require_relations` raises at the first that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import RelationFailureError
 from .matrices import SquareMatrix
@@ -91,7 +92,17 @@ def _evaluate_relations(generators, relations):
 
 
 def check_presentation(generators) -> RelationReport:
-    """Evaluate all defining relations on the given generator matrices."""
+    """Evaluate all defining relations on the given generator matrices.
+
+    The report is kept for the few most recent generator tuples, so a
+    loaded representation's relations run once for the loader and
+    ``validate`` together.
+    """
+    return _presentation_report(tuple(generators))
+
+
+@lru_cache(maxsize=4)
+def _presentation_report(generators: tuple) -> RelationReport:
     return RelationReport(tuple(
         RelationCheck(name, True) if lhs == rhs else RelationCheck(name, False, lhs - rhs)
         for name, lhs, rhs in _evaluate_relations(generators, RELATIONS)
@@ -102,7 +113,13 @@ def require_relations(generators, relations=RELATIONS, suffix: str = "") -> None
     """Raise :class:`RelationFailureError` naming the first relation that fails.
 
     The error's ``relation`` is the table name followed by ``suffix``.
+    The whole table is read from :func:`check_presentation`'s report.
     """
+    if relations is RELATIONS:
+        failure = check_presentation(generators).first_failure()
+        if failure is not None:
+            raise RelationFailureError(failure.name + suffix)
+        return
     for name, lhs, rhs in _evaluate_relations(generators, relations):
         if lhs != rhs:
             raise RelationFailureError(name + suffix)

@@ -15,6 +15,7 @@ which all defining relations hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -138,6 +139,55 @@ def degree0_generators(rep: RepDefinition, eps: int) -> tuple[SquareMatrix, ...]
     return tuple(
         g.map_entries(lambda p: p.evaluate_at_sign(eps)) for g in rep.generators
     )
+
+
+def _terms(entry) -> tuple:
+    """(exponent, coefficient) pairs of a Laurent or integer entry."""
+    if isinstance(entry, LaurentPoly):
+        return tuple(entry.items())
+    return ((0, entry),) if entry else ()
+
+
+@lru_cache(maxsize=4)
+def sign_twist(generators: tuple) -> tuple[int, tuple[int, ...]] | None:
+    """(parity, signs) with g(-u) = parity * S g(u) S for every generator g, else None.
+
+    S = diag(signs).  In eta * u^a * (I + u^m * e_i) every entry has one
+    parity in u: the diagonal ones that of a, the others that of a + m.
+    So u -> -u is conjugation by S, the Temperley-Lieb sign symmetry
+    e_i -> -e_i, with parity (-1)^a.  The signs 2-colour the off-diagonal
+    support (s_i * s_j = parity * (-1)^e, s_i = +1 first in each
+    component), and the result is verified on every term c * u^e of
+    every entry; an entry mixing parities, or a failed colouring, gives
+    None.  A word then satisfies w(-u) = parity^(exponent sum) * S w(u) S.
+    """
+    dim = generators[0].dim
+    parities = [
+        (i, j, {-1 if e % 2 else 1 for e, _ in _terms(g.entries[i][j])})
+        for g in generators for i in range(dim) for j in range(dim)
+    ]
+    parities = [(i, j, p) for i, j, p in parities if p]
+    for parity in (1, -1):
+        neighbours = [[] for _ in range(dim)]
+        for i, j, p in parities:
+            if i != j:
+                neighbours[i].append((j, parity * min(p)))
+                neighbours[j].append((i, parity * min(p)))
+        signs = [0] * dim
+        for root in range(dim):
+            if signs[root]:
+                continue
+            signs[root] = 1
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for j, q in neighbours[i]:
+                    if not signs[j]:
+                        signs[j] = q * signs[i]
+                        stack.append(j)
+        if all(p == {parity * signs[i] * signs[j]} for i, j, p in parities):
+            return parity, tuple(signs)
+    return None
 
 
 def validate_representation(rep: RepDefinition) -> RelationReport:

@@ -10,6 +10,8 @@ word and comparing with the identity.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import IndexRangeError
 from .matrices import SquareMatrix
 from .words import MCGWord, evaluate_word
@@ -74,6 +76,12 @@ def symplectic_image(word: MCGWord) -> SquareMatrix:
     return evaluate_word(word, _GENERATORS)
 
 
+@lru_cache(maxsize=16)
 def is_torelli(word: MCGWord) -> bool:
-    """True when the word acts trivially on homology."""
+    """True when the word acts trivially on homology.
+
+    Kept for the most recent words: the answer does not depend on the
+    sign of u, so both signs of a report and the analyses inside the
+    calculus checks share one symplectic product per word.
+    """
     return symplectic_image(word) == SquareMatrix.identity(4)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from g2jones import cli
+from g2jones import cli, filtration, presentation
 from g2jones.characters import CharacterTable
 from g2jones import rep as rep_module
 from g2jones.cli import CACHE_FILENAME, main
@@ -124,6 +124,22 @@ class TestValidate:
         assert json.loads(capsys.readouterr().out)["determinant"] == 1
         assert len(calls) == 2
 
+    def test_relations_run_once_for_the_loader_and_validation(
+            self, workdir, rep_file, monkeypatch, capsys):
+        words = []
+        evaluate = presentation.evaluate_word
+
+        def counting(word, generators):
+            words.append(word)
+            return evaluate(word, generators)
+
+        monkeypatch.setattr(presentation, "evaluate_word", counting)
+        presentation._presentation_report.cache_clear()
+        assert main(["validate", "--rep", rep_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        # both sides of each of the 17 relations, once
+        assert words == [w for _, lhs, rhs in RELATIONS for w in (lhs, rhs)]
+
     def test_failing_document_reads_the_failed_gate(self, workdir, rep6, monkeypatch, capsys):
         # c1 negated: determinants disagree and the braid c1 c2 fails; the
         # loader would refuse it, so it is handed to the command directly
@@ -206,6 +222,24 @@ class TestAnalyze:
         for ours, theirs in zip(doc["reports"], golden["reports"]):
             assert ours == theirs
         assert doc == golden
+
+    def test_minus_case_is_the_minus_half_of_both(self, workdir, rep_file, capsys):
+        # the minus reports read the plus images when the memo holds them
+        # and evaluate at +1 themselves when it does not: the same bytes
+        def run(case, *flags):
+            assert main(["analyze", "--rep", rep_file, "--case", case, *flags]) == 0
+            return capsys.readouterr().out
+
+        filtration._t_image.cache_clear()
+        cold = [run("minus", "--json"), run("minus")]
+        both_json, both_text = run("both", "--json"), run("both")
+        warm = [run("minus", "--json"), run("minus")]
+        doc = json.loads(both_json)
+        doc["reports"] = [r for r in doc["reports"] if r["epsilon"] == -1]
+        expected_json = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        expected_text = "".join(line for line in both_text.splitlines(keepends=True)
+                                if "[plus]" not in line)
+        assert cold == warm == [expected_json, expected_text]
 
     def test_case_and_order_flags(self, workdir, rep_file, capsys):
         code = main(["analyze", "--rep", rep_file, "--word", "(c2 c3)^6",

@@ -474,8 +474,9 @@ class TestErrorMessages:
 
 
 # ------------------------------------------------------------------
-# Reports multiply each word out over Z[t]/(t^(K+1)), once per sign and
-# K, kept in a memo keyed on the word, the generators, the sign and K.
+# Reports multiply each word out over Z[t]/(t^(K+1)), once per K at +1,
+# kept in a memo keyed on the word, the generators, the sign and K; the
+# packaged rep's image at -1 is read off the one at +1 (TestSignTwist).
 # Words trivial through t^MAX_T_ORDER read a Laurent image instead, kept
 # in a memo keyed on the word and the generators and shared by both
 # signs.  A fresh evaluate_word is the reference.
@@ -501,17 +502,30 @@ def _count_evaluations(monkeypatch, rep):
 
 
 def _count_t_evaluations(monkeypatch, rep):
-    """Record (word, sign, K) for each word filtration multiplies out in t over rep."""
-    calls = []
+    """Record (word, sign, K) for each word filtration multiplies out in t over rep.
+
+    Also returns the (sign, K) of every letter table filtration asks for
+    over rep, so a test can tell that the minus sign never builds one.
+    """
+    calls, tables, signs = [], [], {}
+    letters = filtration._t_letters
+
+    def counting_letters(generators, eps, order):
+        columns = letters(generators, eps, order)
+        if generators == rep.generators:
+            tables.append((eps, order))
+            signs[id(columns)] = eps
+        return columns
 
     def counting(word, columns, dim, order):
-        calls.extend((word, eps, order) for eps in (1, -1)
-                     if columns is _t_letters(rep.generators, eps, order))
+        if id(columns) in signs:
+            calls.append((word, signs[id(columns)], order))
         return evaluate_truncated(word, columns, dim, order)
 
+    monkeypatch.setattr(filtration, "_t_letters", counting_letters)
     monkeypatch.setattr(filtration, "evaluate_truncated", counting)
     _t_image.cache_clear()
-    return calls
+    return calls, tables
 
 
 def assert_memo_matches_fresh(rep, word):
@@ -556,15 +570,23 @@ class TestLaurentImageMemo:
                     analyze(rep, relator, 1)
 
     def test_one_t_evaluation_per_sign(self, rep6, monkeypatch):
+        # the packaged rep has a sign twist: the minus image is read off
+        # the plus one, so one evaluation at +1 serves both signs
         laurent = _count_evaluations(monkeypatch, rep6)
-        calls = _count_t_evaluations(monkeypatch, rep6)
+        calls, tables = _count_t_evaluations(monkeypatch, rep6)
         word = X12.commutator(X23)
         plus = analyze(rep6, word, 1)
         minus = analyze(rep6, parse_word(str(word)), -1)
         assert (plus.depth, minus.depth) == (2, 2)
         assert verify_det_lemma(rep6, word, -1)
         # depth 2 settles at K = 2; the determinant check reads the same image
-        assert calls == [(word, 1, 2), (word, -1, 2)]
+        assert calls == [(word, 1, 2)]
+        assert {eps for eps, _ in tables} == {1}
+        # the minus sign alone evaluates at +1 too
+        _t_image.cache_clear()
+        assert analyze(rep6, word, -1) == minus
+        assert calls == [(word, 1, 2)] * 2
+        assert {eps for eps, _ in tables} == {1}
         assert laurent == []
 
     @pytest.mark.parametrize("check,words", [
@@ -577,14 +599,15 @@ class TestLaurentImageMemo:
     ], ids=["additivity", "bracket", "equivariance"])
     def test_calculus_checks_evaluate_each_image_once(self, rep6, monkeypatch, check, words):
         laurent = _count_evaluations(monkeypatch, rep6)
-        calls = _count_t_evaluations(monkeypatch, rep6)
+        calls, tables = _count_t_evaluations(monkeypatch, rep6)
         assert check(rep6, 1) and check(rep6, -1)
         # x, y and x*y or [x, y]; for equivariance x and g x g^-1: each
-        # once per sign, all at K = 2
-        assert calls == [(w, eps, 2) for eps in (1, -1) for w in words]
-        # within a sign, running the check again reuses its images
+        # once, at +1 and K = 2, and the minus sign reads them
+        assert calls == [(w, 1, 2) for w in words]
+        # running the check again reuses the images of both signs
         assert check(rep6, -1) and check(rep6, 1)
-        assert len(calls) == 2 * len(words)
+        assert len(calls) == len(words)
+        assert {eps for eps, _ in tables} == {1}
         assert laurent == []
 
 
@@ -739,12 +762,14 @@ class TestTruncatedEvaluation:
     ], ids=["depth1", "depth3", "depth3-order3", "trivial", "trivial-huge-order"])
     def test_the_orders_the_doubling_visits(self, rep6, monkeypatch, word, order, visits):
         laurent = _count_evaluations(monkeypatch, rep6)
-        calls = _count_t_evaluations(monkeypatch, rep6)
+        calls, tables = _count_t_evaluations(monkeypatch, rep6)
         try:
             analyze(rep6, word, -1, order)
         except ValuationExceedsOrderError as exc:
             assert str(exc) == str(ValuationExceedsOrderError(order))
-        assert calls == [(word, -1, k) for k in visits]
+        # the minus sign reads each K's image off the evaluation at +1
+        assert calls == [(word, 1, k) for k in visits]
+        assert tables == [(1, k) for k in visits]
         # only a word trivial through t^MAX_T_ORDER reads its Laurent image
         assert laurent == ([word] if order > filtration.MAX_T_ORDER else [])
 
@@ -764,3 +789,104 @@ class TestTruncatedEvaluation:
         _laurent_image.cache_clear()
         assert check_bracket(rep6, X12.commutator(X23), X34, eps) == nested
         assert laurent == [X12.commutator(X23).commutator(X34)]
+
+
+# ------------------------------------------------------------------
+# The sign twist: each entry of a packaged generator has one parity in
+# u, so w(-u) = parity^(exponent sum) * S w(u) S and the image at
+# u = -(1 + t) is read off the one at 1 + t.  Multiplying the word out
+# at eps = -1 (_evaluate_in_t) is the reference; a representation
+# without the twist takes that route in the reports themselves.
+
+TWIST_ORDERS = (2, 4, 8, filtration.MAX_T_ORDER)
+
+
+def _scaled_rep(rep):
+    """rep with every generator times u: the sign twist of parity -1."""
+    u = LaurentPoly.variable()
+    gens = tuple(g.map_entries(lambda p: u * p) for g in rep.generators)
+    return RepDefinition(dim=5, generators=gens, normalization=None, provenance="constructed")
+
+
+def _mixed_rep(rep):
+    """rep conjugated by I + (1 + u) E_01: entries mixing parities in u."""
+    shear = LaurentPoly({0: 1, 1: 1})
+    p = SquareMatrix(tuple(tuple(1 if i == j else (shear if (i, j) == (0, 1) else 0)
+                                 for j in range(5)) for i in range(5)))
+    p_inv = SquareMatrix.identity(5) * 2 - p
+    assert p * p_inv == SquareMatrix.identity(5)
+    gens = tuple(p * g * p_inv for g in rep.generators)
+    return RepDefinition(dim=5, generators=gens, normalization=None, provenance="constructed")
+
+
+def _untwisted(monkeypatch):
+    """Make every representation take the direct route at eps = -1."""
+    monkeypatch.setattr(filtration, "sign_twist", lambda generators: None)
+    _t_image.cache_clear()
+
+
+def assert_twisted_matches_direct(rep, word):
+    for order in TWIST_ORDERS:
+        assert _t_image(word, rep.generators, -1, order) == \
+            filtration._evaluate_in_t(word, rep.generators, -1, order)
+
+
+class TestSignTwist:
+    def test_catalog(self, rep6, catalog):
+        for _, word in catalog:
+            assert_twisted_matches_direct(rep6, word)
+
+    @settings(max_examples=30)
+    @given(word=st.one_of(short_words, conjugates, commutators))
+    def test_generated_words(self, rep6, word):
+        assert_twisted_matches_direct(rep6, word)
+
+    @settings(max_examples=20)
+    @given(word=short_words)
+    def test_parity_minus_one(self, rep6, word):
+        assert_twisted_matches_direct(_scaled_rep(rep6), word)
+
+    def test_parity_minus_one_gives_the_direct_error(self, rep6, monkeypatch):
+        scaled = _scaled_rep(rep6)
+        assert filtration.sign_twist(scaled.generators)[0] == -1
+        words = [parse_word(text) for text in ("c1", "c2^-1 c3 c4", "(c1 c2)^6 c5", "c3^3")]
+        assert all(word.exponent_sum() % 2 for word in words)
+
+        def messages():
+            found = []
+            for word in words:
+                with pytest.raises(Degree0NontrivialError) as info:
+                    verify_det_lemma(scaled, word, -1)
+                found.append(str(info.value))
+            return found
+
+        _t_image.cache_clear()
+        twisted = messages()
+        _untwisted(monkeypatch)
+        assert messages() == twisted
+
+    def test_mixed_parities_take_the_direct_route(self, rep6, catalog, monkeypatch):
+        mixed = _mixed_rep(rep6)
+        assert filtration.sign_twist(mixed.generators) is None
+        calls, tables = _count_t_evaluations(monkeypatch, mixed)
+        words = [word for _, word in catalog][:6]
+        for word in words:
+            for eps in (1, -1):
+                report = analyze(mixed, word, eps)
+                image = evaluate_word(word, mixed.generators)
+                depth, lead = filtration._leading_term(image, eps, DEFAULT_ORDER, word)
+                assert (report.depth, report.delta) == (depth, lead)
+                assert report.det_lemma_ok == _det_identity_holds(image, eps, depth, lead)
+        assert calls == [(word, eps, 2) for word in words for eps in (1, -1)]
+        assert {eps for eps, _ in tables} == {1, -1}
+
+    def test_reports_match_the_untwisted_route(self, rep6, catalog, monkeypatch):
+        eps = -1
+        words = [word for _, word in catalog] + [DEEP]
+        expected = [analyze(rep6, word, eps).to_document() for word in words]
+        checks = [check_bracket(rep6, X12, X23, eps), check_delta_additivity(rep6, X12, X23, eps),
+                  check_equivariance(rep6, parse_word("c3"), X23, eps)]
+        _untwisted(monkeypatch)
+        assert [analyze(rep6, word, eps).to_document() for word in words] == expected
+        assert [check_bracket(rep6, X12, X23, eps), check_delta_additivity(rep6, X12, X23, eps),
+                check_equivariance(rep6, parse_word("c3"), X23, eps)] == checks

@@ -96,6 +96,20 @@ class TestDeterminant:
                 m = rand_laurent_matrix(rng, n)
                 assert matrix_determinant(m) == determinant_by_permutations(m)
 
+    def test_two_routes_agree_on_sparse_matrices(self):
+        # the subset route skips products with a zero factor; zero rows,
+        # zero minors and singular matrices exercise every skip
+        rng = random.Random(20261018)
+        for n in range(1, 7):
+            for _ in range(40):
+                dense = (rand_int_matrix(rng, n), rand_laurent_matrix(rng, n))
+                for m in dense:
+                    sparse = SquareMatrix.from_rows(
+                        [[x if rng.random() < 0.35 else x * 0 for x in row] for row in m.entries])
+                    det = matrix_determinant(sparse)
+                    assert det == determinant_by_permutations(sparse)
+                    assert type(det) is type(sparse.entries[-1][0])
+
     def test_permutation_route_dimension_guard(self):
         with pytest.raises(ValueError):
             determinant_by_permutations(SquareMatrix.identity(7))

@@ -27,7 +27,7 @@ from g2jones.errors import (
 from g2jones.matrices import SquareMatrix
 from g2jones.presentation import RELATIONS
 from g2jones import rep as rep_module
-from g2jones.rep import generator_determinant, rep_determinant_sign
+from g2jones.rep import generator_determinant, rep_determinant_sign, sign_twist
 
 U = LaurentPoly.variable()
 
@@ -281,3 +281,57 @@ class TestLoaderRelations:
         doc["generators"][4] = rep_to_document(build_rep(1, -3, 5))["generators"][4]
         with pytest.raises(DeterminantNotUnitSignError):
             rep_from_document(doc)
+
+
+def _at_minus_u(matrix):
+    """The matrix with u replaced by -u in every entry."""
+    return matrix.map_entries(
+        lambda p: LaurentPoly({e: -c if e % 2 else c for e, c in p.items()}))
+
+
+def _twisted(matrix, parity, signs):
+    """parity * S matrix S with S = diag(signs)."""
+    return SquareMatrix(tuple(
+        tuple(parity * signs[i] * signs[j] * x for j, x in enumerate(row))
+        for i, row in enumerate(matrix.entries)
+    ))
+
+
+class TestSignTwist:
+    """u -> -u is conjugation by a diagonal sign matrix, up to a parity."""
+
+    def test_packaged_rep(self, rep6):
+        assert sign_twist(rep6.generators) == (1, (1, -1, -1, 1, -1))
+
+    @pytest.mark.parametrize("eta,a,m", [(1, -4, 5), (-1, -4, 5), (1, -8, 10), (1, -3, 5)])
+    def test_every_generator_and_inverse(self, eta, a, m):
+        gens = build_rep(eta, a, m).generators
+        parity, signs = sign_twist(gens)
+        assert parity == (-1) ** (a % 2)
+        for g in gens:
+            for x in (g, matrix_inverse(g)):
+                assert _at_minus_u(x) == _twisted(x, parity, signs)
+
+    def test_generators_times_u_have_parity_minus_one(self, rep6):
+        gens = tuple(g.map_entries(lambda p: U * p) for g in rep6.generators)
+        assert sign_twist(gens) == (-1, sign_twist(rep6.generators)[1])
+
+    def test_an_entry_mixing_parities_has_none(self, rep6):
+        gens = list(rep6.generators)
+        rows = [list(row) for row in gens[2].entries]
+        rows[2][2] = rows[2][2] + U
+        gens[2] = SquareMatrix.from_rows(rows)
+        assert sign_twist(tuple(gens)) is None
+
+    @pytest.mark.parametrize("diagonal,off,expected", [
+        (1, U ** 2, (1, (1,) * 5)),
+        (U, U ** 3, (-1, (1,) * 5)),
+        # s0 s1 = s1 s2 = s0 s2 = -1 has no solution at either parity
+        (1, U, None),
+        (U, U ** 2, None),
+    ])
+    def test_a_triangle_of_entries(self, diagonal, off, expected):
+        triangle = SquareMatrix.from_rows([
+            [diagonal if i == j else (off if (i, j) in ((0, 1), (1, 2), (0, 2)) else 0)
+             for j in range(5)] for i in range(5)])
+        assert sign_twist((triangle,) * 5) == expected

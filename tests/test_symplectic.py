@@ -4,7 +4,18 @@ import random
 
 import pytest
 
-from g2jones import MCGWord, is_torelli, parse_word, symplectic_generators, symplectic_image
+from g2jones import (
+    MCGWord,
+    analyze,
+    check_bracket,
+    check_delta_additivity,
+    check_equivariance,
+    is_torelli,
+    parse_word,
+    symplectic_generators,
+    symplectic_image,
+)
+from g2jones import symplectic
 from g2jones.errors import IndexRangeError
 from g2jones.matrices import SquareMatrix, matrix_determinant
 from g2jones.presentation import chain_word, hyperelliptic_word
@@ -114,3 +125,30 @@ def test_catalog_words_act_trivially(catalog):
     for _, word in catalog:
         assert is_torelli(word)
         assert word.exponent_sum() % 2 == 0
+
+
+def test_torelli_memo_bound():
+    assert is_torelli.cache_info().maxsize == 16
+
+
+def test_one_symplectic_product_per_word(rep6, monkeypatch):
+    # analyze at both signs, then each calculus check at both signs: the
+    # products x * y and [x, y] are read, not analyzed, so three words
+    products = []
+    image = symplectic.symplectic_image
+
+    def counting(word):
+        products.append(word)
+        return image(word)
+
+    monkeypatch.setattr(symplectic, "symplectic_image", counting)
+    is_torelli.cache_clear()
+    x, y, g = parse_word("(c1 c2)^6"), parse_word("(c2 c3)^6"), parse_word("c3")
+    for eps in (1, -1):
+        analyze(rep6, x, eps)
+        analyze(rep6, y, eps)
+    for eps in (1, -1):
+        assert check_delta_additivity(rep6, x, y, eps)
+        assert check_bracket(rep6, x, y, eps)
+        assert check_equivariance(rep6, g, y, eps)
+    assert products == [x, y, g * y * g.inverse()]
