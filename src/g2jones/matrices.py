@@ -19,7 +19,7 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotUnipotentError, ValuationExceedsOrderError
-from .rings import LaurentPoly, TruncSeries
+from .rings import LaurentPoly, TruncSeries, power
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,7 @@ class SquareMatrix:
             return NotImplemented
         if n < 0:
             return matrix_inverse(self) ** (-n)
-        result = SquareMatrix.identity(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, SquareMatrix.identity(self.dim))
 
     def __str__(self) -> str:
         cells = [[str(x) for x in row] for row in self.entries]

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import RelationFailureError
 from .matrices import SquareMatrix
-from .words import MCGWord, evaluate_word
+from .words import MCGWord, evaluate_word, sparse_product
 
 
 def chain_word() -> MCGWord:
@@ -35,6 +35,7 @@ def braid_relation_words(i: int) -> tuple[MCGWord, MCGWord]:
 
 
 _c = MCGWord.generator
+_CHAIN = chain_word()
 _IOTA = hyperelliptic_word()
 
 # (name, lhs, rhs) per relation, in report order
@@ -46,11 +47,21 @@ COXETER_RELATIONS = tuple(
     for j in range(i + 2, 6)
 )
 RELATIONS = COXETER_RELATIONS + (
-    ("chain (c1 c2 c3 c4 c5)^6 = 1", chain_word() ** 6, MCGWord.identity()),
+    ("chain (c1 c2 c3 c4 c5)^6 = 1", _CHAIN ** 6, MCGWord.identity()),
     ("hyperelliptic iota^2 = 1", _IOTA ** 2, MCGWord.identity()),
 ) + tuple(
     (f"iota central: [iota, c{i}] = 1", _IOTA * _c(i), _c(i) * _IOTA) for i in range(1, 6)
 )
+# relation sides the gate multiplies from the images of two factors, so
+# iota and the chain are multiplied out once per gate, not once per side
+_FACTORS = {
+    _CHAIN ** 2: (_CHAIN, _CHAIN),
+    _CHAIN ** 3: (_CHAIN ** 2, _CHAIN),
+    _CHAIN ** 6: (_CHAIN ** 3, _CHAIN ** 3),
+    _IOTA ** 2: (_IOTA, _IOTA),
+    **{_IOTA * _c(i): (_IOTA, _c(i)) for i in range(1, 6)},
+    **{_c(i) * _IOTA: (_c(i), _IOTA) for i in range(1, 6)},
+}
 
 
 @dataclass(frozen=True)
@@ -85,10 +96,23 @@ class RelationReport:
 
 
 def _evaluate_relations(generators, relations):
-    """Yield (name, lhs image, rhs image) per relation, in table order."""
+    """Yield (name, lhs image, rhs image) per relation, in table order.
+
+    Each side is multiplied out once per call: a side in ``_FACTORS`` as
+    the product of its factors' images, any other by :func:`evaluate_word`.
+    """
     gens = tuple(generators)
+    images = {}
+
+    def image(word):
+        if word not in images:
+            factors = _FACTORS.get(word)
+            images[word] = (evaluate_word(word, gens) if factors is None
+                            else sparse_product(*map(image, factors)))
+        return images[word]
+
     for name, lhs, rhs in relations:
-        yield name, evaluate_word(lhs, gens), evaluate_word(rhs, gens)
+        yield name, image(lhs), image(rhs)
 
 
 def check_presentation(generators) -> RelationReport:

@@ -20,6 +20,19 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 
+def power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply: bit_length(n) - 1 squarings,
+    popcount(n) - 1 products by ``base``, and ``one`` returned for n = 0 only."""
+    if n == 0:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
+
+
 class LaurentPoly:
     """Laurent polynomial in one variable with integer coefficients."""
 
@@ -147,14 +160,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, LaurentPoly.one())
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -335,14 +341,7 @@ class TruncSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = TruncSeries.one(self._order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, TruncSeries.one(self._order))
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):

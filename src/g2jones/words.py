@@ -12,6 +12,14 @@ with whitespace allowed between tokens.  Brackets are group commutators:
 [x, y] = x y x^-1 y^-1.  Parentheses and brackets nest at most
 ``MAX_NESTING`` deep, and an expression spells out at most
 ``MAX_LETTERS`` letters before free reduction.
+
+A word's image is multiplied out letter by letter.  A generator's
+inverse is a closed form, kept only when one product g * candidate == I
+confirms it: g(u^-1) for the Temperley-Lieb generators
+eta * u^a * (I + u^m E_i), as E_i^2 = -(u^m + u^-m) E_i (Jones,
+Ann. Math. 1987), and 2I - g for the symplectic transvections
+x -> x + <x, v> v.  Any other matrix, such as a loaded representation
+without that symmetry, is inverted by adjugate.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from itertools import chain
 
 from .errors import BadGeneratorError, ParseError
 from .matrices import SquareMatrix, matrix_inverse
+from .rings import LaurentPoly
 
 NUM_GENERATORS = 5
 
@@ -252,6 +261,12 @@ def evaluate_word(word: MCGWord, generators) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
+def sparse_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """The matrix ``a * b``, from the products of nonzero entries only."""
+    cols = _nonzero_columns(b)
+    return SquareMatrix(tuple(tuple(_sparse_dot(row, col) for col in cols) for row in a.entries))
+
+
 def evaluate_truncated(word: MCGWord, columns: dict, dim: int, order: int) -> list:
     """Multiply out a word over Z[t]/(t^(order+1)).
 
@@ -326,11 +341,34 @@ def letter_factor(gens: tuple, letter: tuple) -> tuple:
 def _letter_factor(gens: tuple, factors: dict, gen: int, exp: int) -> tuple:
     """The matrix of c_gen^exp and its nonzero columns; the inverse is kept under (gen, -1)."""
     if exp < 0 and (gen, -1) not in factors:
-        inverse = matrix_inverse(gens[gen - 1])
+        inverse = _generator_inverse(gens[gen - 1])
         factors[(gen, -1)] = (inverse, _nonzero_columns(inverse))
     base = gens[gen - 1] if exp > 0 else factors[(gen, -1)][0]
     matrix = base if abs(exp) == 1 else base ** abs(exp)
     return matrix, _nonzero_columns(matrix)
+
+
+def _generator_inverse(g: SquareMatrix) -> SquareMatrix:
+    """g^-1: g(u^-1) or 2I - g, the first that g * candidate == I confirms, else the adjugate.
+
+    Over a commutative ring a one-sided inverse is the inverse, so the
+    check is a proof.  An integer matrix is its own first candidate.
+    """
+    identity = SquareMatrix.identity(g.dim)
+    mirrored = g.map_entries(_mirror)
+    if sparse_product(g, mirrored) == identity:
+        return mirrored
+    opposite = identity * 2 - g  # built only when g(u^-1) fails: it costs as much as the check
+    if sparse_product(g, opposite) == identity:
+        return opposite
+    return matrix_inverse(g)
+
+
+def _mirror(entry):
+    """entry(u^-1): every exponent negated."""
+    if isinstance(entry, LaurentPoly):
+        return LaurentPoly({-e: c for e, c in entry.items()})
+    return entry
 
 
 def _nonzero_columns(matrix: SquareMatrix) -> tuple:

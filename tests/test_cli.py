@@ -126,19 +126,20 @@ class TestValidate:
 
     def test_relations_run_once_for_the_loader_and_validation(
             self, workdir, rep_file, monkeypatch, capsys):
-        words = []
-        evaluate = presentation.evaluate_word
+        checked = []
+        evaluate = presentation._evaluate_relations
 
-        def counting(word, generators):
-            words.append(word)
-            return evaluate(word, generators)
+        def counting(generators, relations):
+            for name, lhs, rhs in evaluate(generators, relations):
+                checked.append(name)
+                yield name, lhs, rhs
 
-        monkeypatch.setattr(presentation, "evaluate_word", counting)
+        monkeypatch.setattr(presentation, "_evaluate_relations", counting)
         presentation._presentation_report.cache_clear()
         assert main(["validate", "--rep", rep_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        # both sides of each of the 17 relations, once
-        assert words == [w for _, lhs, rhs in RELATIONS for w in (lhs, rhs)]
+        # each of the 17 relations, once, in table order
+        assert checked == [name for name, _, _ in RELATIONS]
 
     def test_failing_document_reads_the_failed_gate(self, workdir, rep6, monkeypatch, capsys):
         # c1 negated: determinants disagree and the braid c1 c2 fails; the

@@ -808,17 +808,6 @@ def _scaled_rep(rep):
     return RepDefinition(dim=5, generators=gens, normalization=None, provenance="constructed")
 
 
-def _mixed_rep(rep):
-    """rep conjugated by I + (1 + u) E_01: entries mixing parities in u."""
-    shear = LaurentPoly({0: 1, 1: 1})
-    p = SquareMatrix(tuple(tuple(1 if i == j else (shear if (i, j) == (0, 1) else 0)
-                                 for j in range(5)) for i in range(5)))
-    p_inv = SquareMatrix.identity(5) * 2 - p
-    assert p * p_inv == SquareMatrix.identity(5)
-    gens = tuple(p * g * p_inv for g in rep.generators)
-    return RepDefinition(dim=5, generators=gens, normalization=None, provenance="constructed")
-
-
 def _untwisted(monkeypatch):
     """Make every representation take the direct route at eps = -1."""
     monkeypatch.setattr(filtration, "sign_twist", lambda generators: None)
@@ -865,8 +854,8 @@ class TestSignTwist:
         _untwisted(monkeypatch)
         assert messages() == twisted
 
-    def test_mixed_parities_take_the_direct_route(self, rep6, catalog, monkeypatch):
-        mixed = _mixed_rep(rep6)
+    def test_mixed_parities_take_the_direct_route(self, mixed_rep, catalog, monkeypatch):
+        mixed = mixed_rep
         assert filtration.sign_twist(mixed.generators) is None
         calls, tables = _count_t_evaluations(monkeypatch, mixed)
         words = [word for _, word in catalog][:6]

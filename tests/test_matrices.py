@@ -165,6 +165,36 @@ class TestTraceAndArithmetic:
             SquareMatrix((( 1, 2),))  # ragged / non-square
 
 
+POWER_BASES = [
+    (LaurentPoly({-1: -1, 0: 1, 1: 1}), LaurentPoly.one()),
+    (TruncSeries(4, (1, Fraction(1, 2), 0, -1)), TruncSeries.one(4)),
+    (SquareMatrix.from_rows([[1, 1, 0], [0, 1, 2], [1, 0, 1]]), SquareMatrix.identity(3)),
+]
+
+
+class TestPower:
+    """Square-and-multiply against repeated multiplication, on all three types."""
+
+    @pytest.mark.parametrize("base,one", POWER_BASES)
+    def test_result_and_product_count(self, base, one, monkeypatch):
+        cls, products = type(base), []
+        multiply = cls.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return multiply(self, other)
+
+        expected = one
+        for n in range(65):
+            products.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(cls, "__mul__", counting)
+                result = base ** n
+            assert result == expected
+            assert len(products) == (n.bit_length() - 1 + n.bit_count() - 1 if n else 0)
+            expected = expected * base
+
+
 class TestInversion:
     def test_adjugate_identity(self):
         rng = random.Random(8)

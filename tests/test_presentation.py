@@ -2,7 +2,7 @@
 
 import pytest
 
-from g2jones import LaurentPoly, build_rep, check_presentation
+from g2jones import LaurentPoly, SquareMatrix, build_rep, check_presentation, evaluate_word, presentation
 from g2jones.errors import RelationFailureError
 from g2jones.presentation import (
     COXETER_RELATIONS,
@@ -126,3 +126,31 @@ def test_require_relations_on_the_coxeter_part_only(rep6):
     with pytest.raises(RelationFailureError) as info:
         require_relations(gens)
     assert info.value.relation == "chain (c1 c2 c3 c4 c5)^6 = 1"
+
+
+def test_factored_sides_spell_their_words():
+    for word, (left, right) in presentation._FACTORS.items():
+        assert left * right == word
+
+
+@pytest.mark.parametrize("which", ["jones", "scaled", "shear", "symplectic"])
+def test_the_gate_images_equal_full_evaluation(rep6, shear_document, which):
+    u = LaurentPoly.variable()
+    gens = {
+        "jones": rep6.generators,
+        "scaled": (rep6.generators[0].map_entries(lambda p: p * u),) + rep6.generators[1:],
+        "shear": rep_from_document_unchecked(shear_document),
+        "symplectic": symplectic_generators(),
+    }[which]
+    images = list(presentation._evaluate_relations(gens, RELATIONS))
+    assert [name for name, _, _ in images] == [name for name, _, _ in RELATIONS]
+    for (_, lhs, rhs), (_, lhs_word, rhs_word) in zip(images, RELATIONS):
+        assert (lhs, rhs) == (evaluate_word(lhs_word, gens), evaluate_word(rhs_word, gens))
+
+
+def rep_from_document_unchecked(document):
+    """The generator matrices of a document, without the loader's gate."""
+    return tuple(
+        SquareMatrix.from_rows([[LaurentPoly({e: int(c) for e, c in entry}) for entry in row]
+                                for row in matrix])
+        for matrix in document["generators"])

@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 from g2jones import (
     MCGWord,
     abelianization_class,
+    analyze,
     build_rep,
+    check_bracket,
+    check_delta_additivity,
+    check_equivariance,
     evaluate_word,
     parse_word,
     symplectic_generators,
@@ -16,6 +20,7 @@ from g2jones import (
 )
 from g2jones.errors import BadGeneratorError, ParseError
 from g2jones.matrices import SquareMatrix, matrix_inverse
+from g2jones.rep import degree0_generators
 
 C = [None] + [MCGWord.generator(i) for i in range(1, 6)]  # 1-based
 
@@ -291,20 +296,17 @@ class TestSparseEvaluation:
                 assert inverse == matrix_inverse(gens[i - 1])
                 assert inverse * gens[i - 1] == SquareMatrix.identity(gens[0].dim)
 
-    def test_each_inverse_is_computed_once_per_generator_tuple(self, monkeypatch):
-        calls = []
-
-        def counting_inverse(matrix):
-            calls.append(matrix)
-            return matrix_inverse(matrix)
-
-        monkeypatch.setattr(words, "matrix_inverse", counting_inverse)
+    def test_each_inverse_is_computed_once_per_generator_tuple(self, mixed_rep, monkeypatch):
+        calls = count_adjugates(monkeypatch)
         words._sparse_factors.cache_clear()
-        gens = build_rep(1, -4, 5).generators
         word = parse_word("c1^-2 c2 c1^-1 c3^-3 c1^-2")
-        first = evaluate_word(word, gens)
-        assert evaluate_word(word, gens) == first
-        assert len(calls) == 2  # c1 and c3, each once
+        # closed forms for the packaged rep; the conjugated rep pays the
+        # adjugate for c1 and c3, each once
+        for gens, adjugates in ((LAURENT_GENERATORS, 0), (mixed_rep.generators, 2)):
+            calls.clear()
+            first = evaluate_word(word, gens)
+            assert evaluate_word(word, gens) == first
+            assert len(calls) == adjugates
 
     def test_memo_is_bounded_and_keeps_recent_tuples(self):
         gens = build_rep(1, -4, 5).generators
@@ -314,6 +316,88 @@ class TestSparseEvaluation:
         info = words._sparse_factors.cache_info()
         assert info.currsize <= info.maxsize == 4
         assert (1, 1) in words._sparse_factors(gens)  # c1 was kept
+
+
+def count_adjugates(monkeypatch) -> list:
+    """The matrices words hands to matrix_inverse from now on."""
+    calls = []
+
+    def counting_inverse(matrix):
+        calls.append(matrix)
+        return matrix_inverse(matrix)
+
+    monkeypatch.setattr(words, "matrix_inverse", counting_inverse)
+    return calls
+
+
+def closed_form_generators():
+    """Generator tuples whose inverses all have a closed form."""
+    reps = [build_rep(1, -4, 5), build_rep(-1, -4, 5), build_rep(1, -8, 10)]
+    return [rep.generators for rep in reps] + [symplectic_generators()] + [
+        degree0_generators(reps[0], eps) for eps in (1, -1)]
+
+
+def mirrored(g):
+    return g.map_entries(words._mirror)
+
+
+negative_words = short_letters.map(lambda letters: MCGWord(tuple(letters))).filter(
+    lambda word: any(e < 0 for _, e in word.letters))
+
+
+class TestClosedFormInverses:
+    """g(u^-1) or 2I - g, confirmed by one product; the adjugate is the oracle."""
+
+    @pytest.mark.parametrize("gens", closed_form_generators())
+    def test_closed_form_equals_the_adjugate(self, gens, monkeypatch):
+        calls = count_adjugates(monkeypatch)
+        for g in gens:
+            assert words._generator_inverse(g) == matrix_inverse(g)
+        assert calls == []
+
+    def test_which_closed_form_each_family_takes(self):
+        identity = SquareMatrix.identity(5)
+        for g in LAURENT_GENERATORS:
+            assert words._generator_inverse(g) == mirrored(g)
+        for g in symplectic_generators():
+            assert g * mirrored(g) != SquareMatrix.identity(4)
+            assert words._generator_inverse(g) == SquareMatrix.identity(4) * 2 - g
+        for g in degree0_generators(build_rep(1, -4, 5), 1):
+            assert g * g == identity  # an involution is its own candidate
+
+    def test_a_conjugated_rep_falls_back_to_the_adjugate(self, mixed_rep, monkeypatch):
+        calls = count_adjugates(monkeypatch)
+        identity = SquareMatrix.identity(5)
+        for g in mixed_rep.generators:
+            assert g * mirrored(g) != identity
+            assert g * (identity * 2 - g) != identity
+            assert words._generator_inverse(g) == matrix_inverse(g)
+        assert calls == list(mixed_rep.generators)
+
+    @settings(max_examples=40)
+    @given(negative_words, st.integers(0, 5))
+    def test_words_with_inverses_match_the_adjugate_route(self, mixed_rep, word, which):
+        gens = (closed_form_generators() + [mixed_rep.generators])[which]
+        assert evaluate_word(word, gens) == dense_product(word, gens)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_conjugated_reports_equal_the_unconjugated_ones(self, rep6, mixed_rep, catalog, eps):
+        # conjugating by P(u) conjugates each leading matrix by P at u = eps
+        p0 = SquareMatrix.from_rows([[int(i == j) + (1 + eps) * ((i, j) == (0, 1))
+                                      for j in range(5)] for i in range(5)])
+        p0_inv = SquareMatrix.identity(5) * 2 - p0
+        invariant = ("word", "epsilon", "order", "torelli", "degree0_trivial", "depth", "trace",
+                     "det_lemma_ok", "trivial_projection")
+        for _, word in catalog:
+            plain, mixed = analyze(rep6, word, eps), analyze(mixed_rep, word, eps)
+            assert [getattr(mixed, k) for k in invariant] == [getattr(plain, k) for k in invariant]
+            assert mixed.delta == p0 * plain.delta * p0_inv
+        x, y = parse_word("(c1 c2)^6"), parse_word("(c2 c3)^6")
+        for check in (check_bracket, check_delta_additivity):
+            plain, mixed = check(rep6, x, y, eps), check(mixed_rep, x, y, eps)
+            assert (mixed.holds, mixed.deeper, mixed.depth) == (plain.holds, plain.deeper, plain.depth)
+        assert check_equivariance(mixed_rep, parse_word("c3^-1"), y, eps) is \
+            check_equivariance(rep6, parse_word("c3^-1"), y, eps) is True
 
 
 # the truncated product: entries are tuples of t^0 .. t^order integer
