@@ -29,14 +29,14 @@ Both signs share one evaluation.  Every entry of eta * u^a * (I + u^m *
 e_i) has one parity in u, so rho(-u) = S rho(u) S with S a diagonal
 sign matrix (the Temperley-Lieb symmetry e_i -> -e_i), and a word's
 image at u = -(1 + t) is parity^(exponent sum) * S (image at 1 + t) S;
-:func:`~g2jones.rep.sign_twist` finds S and the parity.  Generators
+:func:`~g2jones.words.sign_twist` finds S and the parity.  Generators
 without that symmetry, such as a loaded document whose entries mix
 parities, are multiplied out at each sign, and that direct route at -1
 is the reference the tests hold the twisted image to.  The minus report
 still runs the identity test, the doubling, the determinant identity and
 the leading-term checks on its own image.  Images are kept in small
-memos, so a report's determinant check and the calculus checks reuse
-them.
+memos keyed on the word and the rep's evaluator, hashed by identity, so
+a report's determinant check and the calculus checks reuse them.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ from .errors import (
     ValuationExceedsOrderError,
 )
 from .matrices import SquareMatrix, determinant_by_permutations, matrix_trace
-from .rep import Normalization, RepDefinition, degree0_generators, sign_twist
+from .rep import Normalization, RepDefinition
 from .rings import LaurentPoly, laurent_to_series
 from .symplectic import is_torelli
-from .words import MCGWord, evaluate_truncated, evaluate_word, letter_factor
+from .words import Evaluator, MCGWord, evaluate_truncated
 
 DEFAULT_ORDER = 12
 # largest K for which a word is multiplied out over Z[t]/(t^(K+1)); a
@@ -74,13 +74,13 @@ def word_series(rep: RepDefinition, word: MCGWord, eps: int, order: int) -> Squa
     over Z[t]/(t^(K+1)); this series route is their independent
     reference.
     """
-    laurent = evaluate_word(word, rep.generators)
+    laurent = rep.evaluator.evaluate(word)
     return laurent.map_entries(lambda p: laurent_to_series(p, eps, order))
 
 
 def degree0_matrix(rep: RepDefinition, word: MCGWord, eps: int) -> SquareMatrix:
     """Constant term of the word's series: the word in the generators at u = eps."""
-    return evaluate_word(word, degree0_generators(rep, eps))
+    return rep.degree0_evaluators[eps].evaluate(word)
 
 
 @dataclass(frozen=True)
@@ -198,22 +198,13 @@ def _det_identity_holds(image: SquareMatrix, eps: int, depth: int, lead: SquareM
 
 
 @lru_cache(maxsize=4)
-def _laurent_image(word: MCGWord, generators: tuple) -> SquareMatrix:
+def _laurent_image(word: MCGWord, evaluator: Evaluator) -> SquareMatrix:
     """The word's image over Z[u, u^-1], for words trivial through t^MAX_T_ORDER.
 
-    Keyed on the generators too, so a representation never reads another
+    Keyed on the evaluator too, so a representation never reads another
     one's image; both signs share it.
     """
-    return evaluate_word(word, generators)
-
-
-@lru_cache(maxsize=8)
-def _t_letters(generators: tuple, eps: int, order: int) -> dict:
-    """Per letter, its matrix at u = eps * (1 + t) as sparse columns of t^0 .. t^order tuples.
-
-    Filled lazily by :func:`_t_image` from the letter's Laurent matrix.
-    """
-    return {}
+    return evaluator.evaluate(word)
 
 
 def _t_columns(matrix: SquareMatrix, eps: int, order: int) -> tuple:
@@ -229,19 +220,19 @@ def _t_columns(matrix: SquareMatrix, eps: int, order: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _t_image(word: MCGWord, generators: tuple, eps: int, order: int) -> tuple:
+def _t_image(word: MCGWord, evaluator: Evaluator, eps: int, order: int) -> tuple:
     """The t^0 .. t^order coefficient matrices of the word's image at u = eps * (1 + t).
 
-    At eps = -1, generators with a :func:`~g2jones.rep.sign_twist` read
+    At eps = -1, generators with a :func:`~g2jones.words.sign_twist` read
     them off the memoised image at +1: w(-u) = parity^(exponent sum) *
     S w(u) S, so entry (i, j) of each coefficient takes the sign
     parity^(exponent sum) * s_i * s_j.  Otherwise the word is multiplied
     out by :func:`_evaluate_in_t`.  Eight entries: a calculus check holds
     three images per sign.
     """
-    twist = sign_twist(generators) if eps == -1 else None
+    twist = evaluator.twist if eps == -1 else None
     if twist is None:
-        return _evaluate_in_t(word, generators, eps, order)
+        return _evaluate_in_t(word, evaluator, eps, order)
     parity, signs = twist
     sign = parity if word.exponent_sum() % 2 else 1
     flips = [[sign * r * s for s in signs] for r in signs]
@@ -249,35 +240,34 @@ def _t_image(word: MCGWord, generators: tuple, eps: int, order: int) -> tuple:
         SquareMatrix(tuple(
             tuple(x * f for x, f in zip(row, flip)) for row, flip in zip(c.entries, flips)
         ))
-        for c in _t_image(word, generators, 1, order)
+        for c in _t_image(word, evaluator, 1, order)
     )
 
 
-def _evaluate_in_t(word: MCGWord, generators: tuple, eps: int, order: int) -> tuple:
+def _evaluate_in_t(word: MCGWord, evaluator: Evaluator, eps: int, order: int) -> tuple:
     """:func:`_t_image` by multiplying the word out over Z[t]/(t^(order+1)).
 
     No Laurent image is formed.  This is the route at +1, for generators
     without a sign twist, and the reference for the twisted image at -1.
     """
-    columns = _t_letters(generators, eps, order)
+    columns = evaluator.t_letters(eps, order)
     for letter in set(word.letters) - columns.keys():
-        columns[letter] = _t_columns(letter_factor(generators, letter)[0], eps, order)
-    dim = generators[0].dim
-    rows = evaluate_truncated(word, columns, dim, order)
+        columns[letter] = _t_columns(evaluator.letter(letter)[0], eps, order)
+    rows = evaluate_truncated(word, columns, evaluator.dim, order)
     return tuple(
         SquareMatrix(tuple(tuple(entry[j] for entry in row) for row in rows))
         for j in range(order + 1)
     )
 
 
-def _image_through(word: MCGWord, generators: tuple, eps: int, depth: int):
+def _image_through(word: MCGWord, evaluator: Evaluator, eps: int, depth: int):
     """An image whose coefficients reach t^depth: over Z[t] up to MAX_T_ORDER, else Laurent."""
     if depth <= MAX_T_ORDER:
-        return _t_image(word, generators, eps, max(depth, 2))
-    return _laurent_image(word, generators)
+        return _t_image(word, evaluator, eps, max(depth, 2))
+    return _laurent_image(word, evaluator)
 
 
-def _expansion(word: MCGWord, generators: tuple, eps: int, order: int):
+def _expansion(word: MCGWord, evaluator: Evaluator, eps: int, order: int):
     """(image, depth k <= order, leading matrix) of a word's image I + t^k * C + ...
 
     Evaluates over Z[t]/(t^(K+1)) for K = 2, 4, 8, .. up to order; K = 2
@@ -288,7 +278,7 @@ def _expansion(word: MCGWord, generators: tuple, eps: int, order: int):
     K = 2
     while K <= MAX_T_ORDER:
         K = min(K, order)
-        image = _t_image(word, generators, eps, K)
+        image = _t_image(word, evaluator, eps, K)
         coefficients = iter(image)
         _require_identity(next(coefficients), word)
         found = _first_nonzero(coefficients, K)
@@ -297,7 +287,7 @@ def _expansion(word: MCGWord, generators: tuple, eps: int, order: int):
         if K == order:
             raise ValuationExceedsOrderError(order)
         K *= 2
-    image = _laurent_image(word, generators)
+    image = _laurent_image(word, evaluator)
     return (image, *_leading_term(image, eps, order, word))
 
 
@@ -315,7 +305,7 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
         raise ValueError("order must be an integer >= 2")
     if not is_torelli(word):
         raise NotTorelliError(f"word {word.abbreviated()} acts nontrivially on homology")
-    image, depth, lead = _expansion(word, tuple(rep.generators), eps, order)
+    image, depth, lead = _expansion(word, rep.evaluator, eps, order)
     trace = Fraction(matrix_trace(lead))
     return FiltrationReport(
         word=str(word),
@@ -334,7 +324,7 @@ def analyze(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_OR
 
 def verify_det_lemma(rep: RepDefinition, word: MCGWord, eps: int, order: int = DEFAULT_ORDER) -> bool:
     """Stand-alone check of the determinant identity for one word."""
-    image, depth, lead = _expansion(word, tuple(rep.generators), eps, order)
+    image, depth, lead = _expansion(word, rep.evaluator, eps, order)
     return _det_identity_holds(image, eps, depth, lead)
 
 
@@ -393,7 +383,7 @@ def check_delta_additivity(
         raise DepthMismatchError(
             f"depth {rx.depth} for {x} vs depth {ry.depth} for {y}"
         )
-    image = _image_through(x * y, tuple(rep.generators), eps, rx.depth)
+    image = _image_through(x * y, rep.evaluator, eps, rx.depth)
     return _check_leading_term(image, eps, rx.depth, rx.delta + ry.delta)
 
 
@@ -433,5 +423,5 @@ def check_bracket(
         raise ValuationExceedsOrderError(
             order, f"depths {rx.depth} + {ry.depth} exceed order {order}"
         )
-    image = _image_through(x.commutator(y), tuple(rep.generators), eps, target)
+    image = _image_through(x.commutator(y), rep.evaluator, eps, target)
     return _check_leading_term(image, eps, target, rx.delta * ry.delta - ry.delta * rx.delta)

@@ -87,9 +87,11 @@ class SquareMatrix:
         if isinstance(other, SquareMatrix):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            cols = other.transpose().entries
+            # an entry with no nonzero product keeps the type of a product
+            zero = self.entries[0][0] * 0 * other.entries[0][0] if self.dim else 0
+            cols = _nonzero_columns(other)
             return SquareMatrix(tuple(
-                tuple(_dot(row, col) for col in cols) for row in self.entries
+                tuple(_sparse_dot(row, col, zero) for col in cols) for row in self.entries
             ))
         return self.map_entries(lambda x: x * other)
 
@@ -112,13 +114,23 @@ class SquareMatrix:
         )
 
 
-def _dot(row: Sequence, col: Sequence):
-    it = zip(row, col)
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+def _nonzero_columns(matrix: SquareMatrix) -> tuple:
+    """Per column j, the (k, entry) pairs of its nonzero entries."""
+    return tuple(
+        tuple((k, row[j]) for k, row in enumerate(matrix.entries) if row[j])
+        for j in range(matrix.dim)
+    )
+
+
+def _sparse_dot(row: Sequence, column: tuple, zero):
+    """row times a column of :func:`_nonzero_columns`, from the nonzero products only."""
+    acc = None
+    for k, entry in column:
+        x = row[k]
+        if x:
+            term = x * entry
+            acc = term if acc is None else acc + term
+    return zero if acc is None else acc
 
 
 def matrix_trace(matrix: SquareMatrix):

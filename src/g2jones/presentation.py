@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import RelationFailureError
 from .matrices import SquareMatrix
-from .words import MCGWord, evaluate_word, sparse_product
+from .words import Evaluator, MCGWord
 
 
 def chain_word() -> MCGWord:
@@ -99,16 +99,16 @@ def _evaluate_relations(generators, relations):
     """Yield (name, lhs image, rhs image) per relation, in table order.
 
     Each side is multiplied out once per call: a side in ``_FACTORS`` as
-    the product of its factors' images, any other by :func:`evaluate_word`.
+    the product of its factors' images, any other by one shared evaluator.
     """
-    gens = tuple(generators)
+    evaluator = Evaluator(generators)
     images = {}
 
     def image(word):
         if word not in images:
             factors = _FACTORS.get(word)
-            images[word] = (evaluate_word(word, gens) if factors is None
-                            else sparse_product(*map(image, factors)))
+            images[word] = (evaluator.evaluate(word) if factors is None
+                            else image(factors[0]) * image(factors[1]))
         return images[word]
 
     for name, lhs, rhs in relations:

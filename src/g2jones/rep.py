@@ -9,13 +9,15 @@ generator is eta^d * (-1)^r * u^(d*a + 2*r*m) where d is the number of
 patterns and r the rank of a cup generator, so determinants land in
 {+1, -1} exactly when d*a + 2*r*m = 0; :func:`solve_normalization`
 solves that constraint and :func:`search_valid_rep` finds exponents for
-which all defining relations hold.
+which all defining relations hold.  A :class:`RepDefinition` holds the
+:class:`~g2jones.words.Evaluator` of its generators, and one of its
+degree-0 generators per sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -28,7 +30,7 @@ from .linkpatterns import enumerate_link_patterns, tl_generator
 from .matrices import SquareMatrix, matrix_determinant
 from .presentation import RelationCheck, RelationReport, check_presentation, require_relations
 from .rings import LaurentPoly
-from .words import NUM_GENERATORS
+from .words import NUM_GENERATORS, Evaluator
 
 REP_VARIABLE = "u"
 
@@ -63,6 +65,18 @@ class RepDefinition:
             raise ValueError(f"expected {NUM_GENERATORS} generators")
         if any(g.dim != self.dim for g in self.generators):
             raise ValueError("generator dimension disagrees with dim")
+
+    # evaluators live outside the fields: no part in equality, hashing or the document
+
+    @cached_property
+    def evaluator(self) -> Evaluator:
+        """The :class:`~g2jones.words.Evaluator` of the generators."""
+        return Evaluator(self.generators)
+
+    @cached_property
+    def degree0_evaluators(self) -> dict[int, Evaluator]:
+        """Per sign eps, the evaluator of :func:`degree0_generators` at eps."""
+        return {eps: Evaluator(degree0_generators(self, eps)) for eps in (1, -1)}
 
 
 def solve_normalization(n: int = 6, m: int | None = None) -> tuple[int, int]:
@@ -139,55 +153,6 @@ def degree0_generators(rep: RepDefinition, eps: int) -> tuple[SquareMatrix, ...]
     return tuple(
         g.map_entries(lambda p: p.evaluate_at_sign(eps)) for g in rep.generators
     )
-
-
-def _terms(entry) -> tuple:
-    """(exponent, coefficient) pairs of a Laurent or integer entry."""
-    if isinstance(entry, LaurentPoly):
-        return tuple(entry.items())
-    return ((0, entry),) if entry else ()
-
-
-@lru_cache(maxsize=4)
-def sign_twist(generators: tuple) -> tuple[int, tuple[int, ...]] | None:
-    """(parity, signs) with g(-u) = parity * S g(u) S for every generator g, else None.
-
-    S = diag(signs).  In eta * u^a * (I + u^m * e_i) every entry has one
-    parity in u: the diagonal ones that of a, the others that of a + m.
-    So u -> -u is conjugation by S, the Temperley-Lieb sign symmetry
-    e_i -> -e_i, with parity (-1)^a.  The signs 2-colour the off-diagonal
-    support (s_i * s_j = parity * (-1)^e, s_i = +1 first in each
-    component), and the result is verified on every term c * u^e of
-    every entry; an entry mixing parities, or a failed colouring, gives
-    None.  A word then satisfies w(-u) = parity^(exponent sum) * S w(u) S.
-    """
-    dim = generators[0].dim
-    parities = [
-        (i, j, {-1 if e % 2 else 1 for e, _ in _terms(g.entries[i][j])})
-        for g in generators for i in range(dim) for j in range(dim)
-    ]
-    parities = [(i, j, p) for i, j, p in parities if p]
-    for parity in (1, -1):
-        neighbours = [[] for _ in range(dim)]
-        for i, j, p in parities:
-            if i != j:
-                neighbours[i].append((j, parity * min(p)))
-                neighbours[j].append((i, parity * min(p)))
-        signs = [0] * dim
-        for root in range(dim):
-            if signs[root]:
-                continue
-            signs[root] = 1
-            stack = [root]
-            while stack:
-                i = stack.pop()
-                for j, q in neighbours[i]:
-                    if not signs[j]:
-                        signs[j] = q * signs[i]
-                        stack.append(j)
-        if all(p == {parity * signs[i] * signs[j]} for i, j, p in parities):
-            return parity, tuple(signs)
-    return None
 
 
 def validate_representation(rep: RepDefinition) -> RelationReport:

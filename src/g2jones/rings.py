@@ -36,7 +36,7 @@ def power(base, n: int, one):
 class LaurentPoly:
     """Laurent polynomial in one variable with integer coefficients."""
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -170,12 +170,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        # kept after the first call: generator tuples key several memos
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(frozenset(self._coeffs.items()))
-            return self._hash
+        return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self):
         return bool(self._coeffs)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import IndexRangeError
 from .matrices import SquareMatrix
-from .words import MCGWord, evaluate_word
+from .words import Evaluator, MCGWord
 
 # symplectic form <x, y> = x^T J y in the basis (A1, B1, A2, B2)
 INTERSECTION_FORM = SquareMatrix((
@@ -63,8 +63,7 @@ def symplectic_generators() -> tuple[SquareMatrix, ...]:
     return tuple(symplectic_generator(i) for i in range(1, 6))
 
 
-# built once, so evaluate_word's per-tuple memo keeps their inverses
-_GENERATORS = symplectic_generators()
+_EVALUATOR = Evaluator(symplectic_generators())
 
 
 def is_symplectic(matrix: SquareMatrix) -> bool:
@@ -73,7 +72,7 @@ def is_symplectic(matrix: SquareMatrix) -> bool:
 
 
 def symplectic_image(word: MCGWord) -> SquareMatrix:
-    return evaluate_word(word, _GENERATORS)
+    return _EVALUATOR.evaluate(word)
 
 
 @lru_cache(maxsize=16)

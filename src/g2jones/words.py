@@ -13,9 +13,10 @@ with whitespace allowed between tokens.  Brackets are group commutators:
 ``MAX_NESTING`` deep, and an expression spells out at most
 ``MAX_LETTERS`` letters before free reduction.
 
-A word's image is multiplied out letter by letter.  A generator's
-inverse is a closed form, kept only when one product g * candidate == I
-confirms it: g(u^-1) for the Temperley-Lieb generators
+A word's image is multiplied out letter by letter by an
+:class:`Evaluator`, which holds all one generator tuple gives words.  A
+generator's inverse is a closed form, kept only when one product
+g * candidate == I confirms it: g(u^-1) for the Temperley-Lieb generators
 eta * u^a * (I + u^m E_i), as E_i^2 = -(u^m + u^-m) E_i (Jones,
 Ann. Math. 1987), and 2I - g for the symplectic transvections
 x -> x + <x, v> v.  Any other matrix, such as a loaded representation
@@ -25,11 +26,11 @@ without that symmetry, is inverted by adjugate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain
 
 from .errors import BadGeneratorError, ParseError
-from .matrices import SquareMatrix, matrix_inverse
+from .matrices import SquareMatrix, _nonzero_columns, _sparse_dot, matrix_inverse
 from .rings import LaurentPoly
 
 NUM_GENERATORS = 5
@@ -241,30 +242,61 @@ def parse_word(text: str) -> MCGWord:
     return word
 
 
-def evaluate_word(word: MCGWord, generators) -> SquareMatrix:
-    """Multiply out a word in the given generator matrices.
+class Evaluator:
+    """All one tuple of five generator matrices gives words; hashed by identity.
 
-    Each letter right-multiplies the running product once, by the nonzero
-    entries of its generator's power; a twist generator's powers a*I + b*g
-    keep only a few nonzero entries per column.
+    The letter table maps each letter (generator, exponent) a word needs
+    to its matrix and nonzero columns, so each inverse is computed once
+    per evaluator.  Beside it sit the :func:`sign_twist` and the letter
+    tables over Z[t]/(t^(K+1)) that :mod:`~g2jones.filtration` fills.
     """
-    gens = tuple(generators)
-    if len(gens) != NUM_GENERATORS:
-        raise ValueError(f"expected {NUM_GENERATORS} generator matrices")
-    factors = _sparse_factors(gens)
-    rows = SquareMatrix.identity(gens[0].dim).entries
-    for letter in word.letters:
-        if letter not in factors:
-            factors[letter] = _letter_factor(gens, factors, *letter)
-        columns = factors[letter][1]
-        rows = [tuple(_sparse_dot(row, col) for col in columns) for row in rows]
-    return SquareMatrix(rows)
+
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+        if len(self.generators) != NUM_GENERATORS:
+            raise ValueError(f"expected {NUM_GENERATORS} generator matrices")
+        self.dim = self.generators[0].dim
+        self._letters = {}
+        self._t_letters = {}
+
+    def letter(self, letter: tuple) -> tuple:
+        """The matrix of c_gen^exp for the letter (gen, exp), and its nonzero columns."""
+        if letter not in self._letters:
+            gen, exp = letter
+            g = self.generators[gen - 1]
+            if exp == -1:
+                matrix = _generator_inverse(g)
+            elif exp == 1:
+                matrix = g
+            else:
+                matrix = (g if exp > 0 else self.letter((gen, -1))[0]) ** abs(exp)
+            self._letters[letter] = matrix, _nonzero_columns(matrix)
+        return self._letters[letter]
+
+    def evaluate(self, word: MCGWord) -> SquareMatrix:
+        """Multiply out a word, each letter once, by the nonzero entries of its matrix.
+
+        A twist generator's powers a*I + b*g are sparse, a few entries per column.
+        """
+        rows = SquareMatrix.identity(self.dim).entries
+        for letter in word.letters:
+            columns = self.letter(letter)[1]
+            rows = [tuple(_sparse_dot(row, col, 0) for col in columns) for row in rows]
+        return SquareMatrix(rows)
+
+    @cached_property
+    def twist(self) -> tuple[int, tuple[int, ...]] | None:
+        """The generators' :func:`sign_twist`."""
+        return sign_twist(self.generators)
+
+    def t_letters(self, eps: int, order: int) -> dict:
+        """The letter table at u = eps * (1 + t) over Z[t]/(t^(order+1)), filled by its reader."""
+        return self._t_letters.setdefault((eps, order), {})
 
 
-def sparse_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """The matrix ``a * b``, from the products of nonzero entries only."""
-    cols = _nonzero_columns(b)
-    return SquareMatrix(tuple(tuple(_sparse_dot(row, col) for col in cols) for row in a.entries))
+def evaluate_word(word: MCGWord, generators) -> SquareMatrix:
+    """Multiply out a word in the given generator matrices, by a one-shot :class:`Evaluator`."""
+    return Evaluator(generators).evaluate(word)
 
 
 def evaluate_truncated(word: MCGWord, columns: dict, dim: int, order: int) -> list:
@@ -319,35 +351,6 @@ def _truncated_step2(rows: list, columns: tuple) -> list:
     return out
 
 
-@lru_cache(maxsize=4)
-def _sparse_factors(gens: tuple) -> dict:
-    """Per letter (generator, exponent): its matrix and nonzero columns.
-
-    Filled lazily by :func:`evaluate_word` and kept for the few most
-    recently used generator tuples, so each inverse is computed once per
-    tuple, not once per call.
-    """
-    return {}
-
-
-def letter_factor(gens: tuple, letter: tuple) -> tuple:
-    """The matrix of one letter (generator, exponent) and its nonzero columns, kept per tuple."""
-    factors = _sparse_factors(gens)
-    if letter not in factors:
-        factors[letter] = _letter_factor(gens, factors, *letter)
-    return factors[letter]
-
-
-def _letter_factor(gens: tuple, factors: dict, gen: int, exp: int) -> tuple:
-    """The matrix of c_gen^exp and its nonzero columns; the inverse is kept under (gen, -1)."""
-    if exp < 0 and (gen, -1) not in factors:
-        inverse = _generator_inverse(gens[gen - 1])
-        factors[(gen, -1)] = (inverse, _nonzero_columns(inverse))
-    base = gens[gen - 1] if exp > 0 else factors[(gen, -1)][0]
-    matrix = base if abs(exp) == 1 else base ** abs(exp)
-    return matrix, _nonzero_columns(matrix)
-
-
 def _generator_inverse(g: SquareMatrix) -> SquareMatrix:
     """g^-1: g(u^-1) or 2I - g, the first that g * candidate == I confirms, else the adjugate.
 
@@ -356,10 +359,10 @@ def _generator_inverse(g: SquareMatrix) -> SquareMatrix:
     """
     identity = SquareMatrix.identity(g.dim)
     mirrored = g.map_entries(_mirror)
-    if sparse_product(g, mirrored) == identity:
+    if g * mirrored == identity:
         return mirrored
     opposite = identity * 2 - g  # built only when g(u^-1) fails: it costs as much as the check
-    if sparse_product(g, opposite) == identity:
+    if g * opposite == identity:
         return opposite
     return matrix_inverse(g)
 
@@ -371,19 +374,49 @@ def _mirror(entry):
     return entry
 
 
-def _nonzero_columns(matrix: SquareMatrix) -> tuple:
-    """Per column j, the (k, entry) pairs of its nonzero entries."""
-    return tuple(
-        tuple((k, row[j]) for k, row in enumerate(matrix.entries) if row[j])
-        for j in range(matrix.dim)
-    )
+def _terms(entry) -> tuple:
+    """(exponent, coefficient) pairs of a Laurent or integer entry."""
+    if isinstance(entry, LaurentPoly):
+        return tuple(entry.items())
+    return ((0, entry),) if entry else ()
 
 
-def _sparse_dot(row: tuple, column: tuple):
-    acc = None
-    for k, entry in column:
-        x = row[k]
-        if x:
-            term = x * entry
-            acc = term if acc is None else acc + term
-    return 0 if acc is None else acc
+def sign_twist(generators: tuple) -> tuple[int, tuple[int, ...]] | None:
+    """(parity, signs) with g(-u) = parity * S g(u) S for every generator g, else None.
+
+    S = diag(signs).  In eta * u^a * (I + u^m * e_i) every entry has one
+    parity in u: the diagonal ones that of a, the others that of a + m.
+    So u -> -u is conjugation by S, the Temperley-Lieb sign symmetry
+    e_i -> -e_i, with parity (-1)^a.  The signs 2-colour the off-diagonal
+    support (s_i * s_j = parity * (-1)^e, s_i = +1 first in each
+    component), and the result is verified on every term c * u^e of
+    every entry; an entry mixing parities, or a failed colouring, gives
+    None.  A word then satisfies w(-u) = parity^(exponent sum) * S w(u) S.
+    """
+    dim = generators[0].dim
+    parities = [
+        (i, j, {-1 if e % 2 else 1 for e, _ in _terms(g.entries[i][j])})
+        for g in generators for i in range(dim) for j in range(dim)
+    ]
+    parities = [(i, j, p) for i, j, p in parities if p]
+    for parity in (1, -1):
+        neighbours = [[] for _ in range(dim)]
+        for i, j, p in parities:
+            if i != j:
+                neighbours[i].append((j, parity * min(p)))
+                neighbours[j].append((i, parity * min(p)))
+        signs = [0] * dim
+        for root in range(dim):
+            if signs[root]:
+                continue
+            signs[root] = 1
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for j, q in neighbours[i]:
+                    if not signs[j]:
+                        signs[j] = q * signs[i]
+                        stack.append(j)
+        if all(p == {parity * signs[i] * signs[j]} for i, j, p in parities):
+            return parity, tuple(signs)
+    return None

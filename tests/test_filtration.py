@@ -24,6 +24,7 @@ from g2jones import (
     RepDefinition,
     TruncSeries,
     analyze,
+    build_rep,
     check_bracket,
     check_delta_additivity,
     check_equivariance,
@@ -36,6 +37,7 @@ from g2jones import (
     matrix_inverse,
     matrix_trace,
     parse_word,
+    rep_to_document,
     series_matrix_valuation,
     verify_det_lemma,
     word_series,
@@ -54,7 +56,6 @@ from g2jones.filtration import (
     _det_identity_holds,
     _laurent_image,
     _t_image,
-    _t_letters,
     _truncated_determinant,
 )
 from g2jones.words import evaluate_truncated
@@ -475,10 +476,10 @@ class TestErrorMessages:
 
 # ------------------------------------------------------------------
 # Reports multiply each word out over Z[t]/(t^(K+1)), once per K at +1,
-# kept in a memo keyed on the word, the generators, the sign and K; the
+# kept in a memo keyed on the word, the evaluator, the sign and K; the
 # packaged rep's image at -1 is read off the one at +1 (TestSignTwist).
 # Words trivial through t^MAX_T_ORDER read a Laurent image instead, kept
-# in a memo keyed on the word and the generators and shared by both
+# in a memo keyed on the word and the rep's evaluator and shared by both
 # signs.  A fresh evaluate_word is the reference.
 
 def _broken_rep(rep):
@@ -490,13 +491,13 @@ def _broken_rep(rep):
 def _count_evaluations(monkeypatch, rep):
     """Record the words filtration evaluates in rep's Laurent generators."""
     calls = []
+    evaluate = rep.evaluator.evaluate
 
-    def counting(word, generators):
-        if tuple(generators) == rep.generators:
-            calls.append(word)
-        return evaluate_word(word, generators)
+    def counting(word):
+        calls.append(word)
+        return evaluate(word)
 
-    monkeypatch.setattr(filtration, "evaluate_word", counting)
+    monkeypatch.setattr(rep.evaluator, "evaluate", counting)
     _laurent_image.cache_clear()
     return calls
 
@@ -508,13 +509,12 @@ def _count_t_evaluations(monkeypatch, rep):
     over rep, so a test can tell that the minus sign never builds one.
     """
     calls, tables, signs = [], [], {}
-    letters = filtration._t_letters
+    letters = rep.evaluator.t_letters
 
-    def counting_letters(generators, eps, order):
-        columns = letters(generators, eps, order)
-        if generators == rep.generators:
-            tables.append((eps, order))
-            signs[id(columns)] = eps
+    def counting_letters(eps, order):
+        columns = letters(eps, order)
+        tables.append((eps, order))
+        signs[id(columns)] = eps
         return columns
 
     def counting(word, columns, dim, order):
@@ -522,7 +522,7 @@ def _count_t_evaluations(monkeypatch, rep):
             calls.append((word, signs[id(columns)], order))
         return evaluate_truncated(word, columns, dim, order)
 
-    monkeypatch.setattr(filtration, "_t_letters", counting_letters)
+    monkeypatch.setattr(rep.evaluator, "t_letters", counting_letters)
     monkeypatch.setattr(filtration, "evaluate_truncated", counting)
     _t_image.cache_clear()
     return calls, tables
@@ -530,8 +530,8 @@ def _count_t_evaluations(monkeypatch, rep):
 
 def assert_memo_matches_fresh(rep, word):
     _laurent_image.cache_clear()
-    first = _laurent_image(word, rep.generators)
-    again = _laurent_image(word, rep.generators)
+    first = _laurent_image(word, rep.evaluator)
+    again = _laurent_image(word, rep.evaluator)
     assert again is first
     assert first == evaluate_word(word, rep.generators)
 
@@ -554,12 +554,12 @@ class TestLaurentImageMemo:
         relator = parse_word("c1 c2 c1 c2^-1 c1^-1 c2^-1")
         _laurent_image.cache_clear()
         for word in (parse_word("c1 c2"), relator, X12):
-            ours = _laurent_image(word, rep6.generators)
-            theirs = _laurent_image(word, broken.generators)
+            ours = _laurent_image(word, rep6.evaluator)
+            theirs = _laurent_image(word, broken.evaluator)
             assert ours == evaluate_word(word, rep6.generators)
             assert theirs == evaluate_word(word, broken.generators)
-        assert _laurent_image(parse_word("c1 c2"), rep6.generators) != _laurent_image(
-            parse_word("c1 c2"), broken.generators)
+        assert _laurent_image(parse_word("c1 c2"), rep6.evaluator) != _laurent_image(
+            parse_word("c1 c2"), broken.evaluator)
         # the relator is the identity for rep6 and not even degree-0
         # trivial for the broken rep, whichever is analyzed first
         for first, second in ((rep6, broken), (broken, rep6)):
@@ -609,6 +609,42 @@ class TestLaurentImageMemo:
         assert len(calls) == len(words)
         assert {eps for eps, _ in tables} == {1}
         assert laurent == []
+
+
+def test_a_warm_repeat_hashes_no_matrix(rep6, monkeypatch):
+    # the memos are keyed on words and on the rep's evaluator, hashed by
+    # identity, never on the generator matrices
+    def run():
+        for eps in (1, -1):
+            analyze(rep6, X12, eps)
+            check_delta_additivity(rep6, X12, X23, eps)
+            check_bracket(rep6, X12, X23, eps)
+            check_equivariance(rep6, parse_word("c3"), X23, eps)
+
+    run()
+    hashed = []
+    matrix_hash = SquareMatrix.__hash__
+
+    def counting(matrix):
+        hashed.append(matrix)
+        return matrix_hash(matrix)
+
+    monkeypatch.setattr(SquareMatrix, "__hash__", counting)
+    run()
+    assert hashed == []
+
+
+def test_equal_reps_get_separate_evaluators_and_identical_reports(rep6, catalog):
+    twin = build_rep(1, -4, 5)
+    assert twin == rep6 and hash(twin) == hash(rep6)
+    assert twin.evaluator is not rep6.evaluator
+    assert all(twin.degree0_evaluators[eps] is not rep6.degree0_evaluators[eps]
+               for eps in (1, -1))
+    for eps in (1, -1):
+        for _, word in catalog:
+            assert analyze(twin, word, eps) == analyze(rep6, word, eps)
+        assert check_equivariance(twin, parse_word("c3"), X23, eps)
+    assert rep_to_document(twin) == rep_to_document(rep6)
 
 
 # ------------------------------------------------------------------
@@ -739,7 +775,7 @@ def assert_t_image_matches_laurent(rep, word, eps):
     laurent = evaluate_word(word, rep.generators)
     expected = tuple(islice(_coefficients(laurent, eps), max(T_ORDERS) + 1))
     for order in T_ORDERS:
-        assert _t_image(word, rep.generators, eps, order) == expected[:order + 1]
+        assert _t_image(word, rep.evaluator, eps, order) == expected[:order + 1]
 
 
 class TestTruncatedEvaluation:
@@ -808,16 +844,16 @@ def _scaled_rep(rep):
     return RepDefinition(dim=5, generators=gens, normalization=None, provenance="constructed")
 
 
-def _untwisted(monkeypatch):
-    """Make every representation take the direct route at eps = -1."""
-    monkeypatch.setattr(filtration, "sign_twist", lambda generators: None)
+def _untwisted(monkeypatch, rep):
+    """Make rep take the direct route at eps = -1: an evaluator whose twist is None."""
+    monkeypatch.setattr(rep.evaluator, "twist", None)
     _t_image.cache_clear()
 
 
 def assert_twisted_matches_direct(rep, word):
     for order in TWIST_ORDERS:
-        assert _t_image(word, rep.generators, -1, order) == \
-            filtration._evaluate_in_t(word, rep.generators, -1, order)
+        assert _t_image(word, rep.evaluator, -1, order) == \
+            filtration._evaluate_in_t(word, rep.evaluator, -1, order)
 
 
 class TestSignTwist:
@@ -837,7 +873,7 @@ class TestSignTwist:
 
     def test_parity_minus_one_gives_the_direct_error(self, rep6, monkeypatch):
         scaled = _scaled_rep(rep6)
-        assert filtration.sign_twist(scaled.generators)[0] == -1
+        assert scaled.evaluator.twist[0] == -1
         words = [parse_word(text) for text in ("c1", "c2^-1 c3 c4", "(c1 c2)^6 c5", "c3^3")]
         assert all(word.exponent_sum() % 2 for word in words)
 
@@ -851,12 +887,12 @@ class TestSignTwist:
 
         _t_image.cache_clear()
         twisted = messages()
-        _untwisted(monkeypatch)
+        _untwisted(monkeypatch, scaled)
         assert messages() == twisted
 
     def test_mixed_parities_take_the_direct_route(self, mixed_rep, catalog, monkeypatch):
         mixed = mixed_rep
-        assert filtration.sign_twist(mixed.generators) is None
+        assert mixed.evaluator.twist is None
         calls, tables = _count_t_evaluations(monkeypatch, mixed)
         words = [word for _, word in catalog][:6]
         for word in words:
@@ -875,7 +911,7 @@ class TestSignTwist:
         expected = [analyze(rep6, word, eps).to_document() for word in words]
         checks = [check_bracket(rep6, X12, X23, eps), check_delta_additivity(rep6, X12, X23, eps),
                   check_equivariance(rep6, parse_word("c3"), X23, eps)]
-        _untwisted(monkeypatch)
+        _untwisted(monkeypatch, rep6)
         assert [analyze(rep6, word, eps).to_document() for word in words] == expected
         assert [check_bracket(rep6, X12, X23, eps), check_delta_additivity(rep6, X12, X23, eps),
                 check_equivariance(rep6, parse_word("c3"), X23, eps)] == checks

@@ -158,6 +158,17 @@ class TestTraceAndArithmetic:
         assert m ** 4 == SquareMatrix.from_rows([[1, 4], [0, 1]])
         assert m ** -4 == SquareMatrix.from_rows([[1, -4], [0, 1]])
 
+    @pytest.mark.parametrize("one", [LaurentPoly.one(), Fraction(1), TruncSeries.one(3)],
+                             ids=["laurent", "fraction", "series"])
+    def test_a_product_entry_with_no_nonzero_term_keeps_the_ring_zero(self, one):
+        zero = one * 0
+        a = SquareMatrix(((one, zero), (zero, zero)))
+        b = SquareMatrix(((zero, one), (zero, zero)))
+        for product in (a * b, SquareMatrix.identity(2) * b):
+            assert product == SquareMatrix(((zero, one), (zero, zero)))
+            assert {type(x) for row in product.entries for x in row} == {type(one)}
+        assert SquareMatrix(()) * SquareMatrix(()) == SquareMatrix(())
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             SquareMatrix.identity(2) + SquareMatrix.identity(3)

@@ -27,7 +27,8 @@ from g2jones.errors import (
 from g2jones.matrices import SquareMatrix
 from g2jones.presentation import RELATIONS
 from g2jones import rep as rep_module
-from g2jones.rep import generator_determinant, rep_determinant_sign, sign_twist
+from g2jones.rep import generator_determinant, rep_determinant_sign
+from g2jones.words import sign_twist
 
 U = LaurentPoly.variable()
 

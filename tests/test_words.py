@@ -1,6 +1,7 @@
 """Word algebra and the expression parser."""
 
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,24 +299,47 @@ class TestSparseEvaluation:
 
     def test_each_inverse_is_computed_once_per_generator_tuple(self, mixed_rep, monkeypatch):
         calls = count_adjugates(monkeypatch)
-        words._sparse_factors.cache_clear()
         word = parse_word("c1^-2 c2 c1^-1 c3^-3 c1^-2")
         # closed forms for the packaged rep; the conjugated rep pays the
         # adjugate for c1 and c3, each once
         for gens, adjugates in ((LAURENT_GENERATORS, 0), (mixed_rep.generators, 2)):
             calls.clear()
-            first = evaluate_word(word, gens)
-            assert evaluate_word(word, gens) == first
+            evaluator = words.Evaluator(gens)
+            first = evaluator.evaluate(word)
+            assert evaluator.evaluate(word) == first
             assert len(calls) == adjugates
 
-    def test_memo_is_bounded_and_keeps_recent_tuples(self):
-        gens = build_rep(1, -4, 5).generators
+    def test_memo_is_bounded_and_keeps_recent_tuples(self, monkeypatch):
+        # evaluate_word keeps no evaluator alive; a held evaluator keeps
+        # one entry per distinct letter
+        made = []
+        init = words.Evaluator.__init__
+
+        def recording(evaluator, generators):
+            init(evaluator, generators)
+            made.append(weakref.ref(evaluator))
+
+        monkeypatch.setattr(words.Evaluator, "__init__", recording)
         for n in range(5, 14):
             evaluate_word(C[1], build_rep(1, -n, 5).generators)
-            evaluate_word(C[1], gens)
-        info = words._sparse_factors.cache_info()
-        assert info.currsize <= info.maxsize == 4
-        assert (1, 1) in words._sparse_factors(gens)  # c1 was kept
+        assert len(made) == 9
+        assert all(ref() is None for ref in made)
+        evaluator = words.Evaluator(build_rep(1, -4, 5).generators)
+        held = (C[1], C[1] * C[2] ** -1, C[2] ** -1 * C[3] ** 2, C[3] ** 2 * C[1])
+        for word in held:
+            evaluator.evaluate(word)
+        assert set(evaluator._letters) == {(1, 1), (2, -1), (3, 2)}
+
+
+    def test_the_adjugate_is_paid_once_per_inverted_generator_per_evaluator(
+            self, mixed_rep, monkeypatch):
+        calls = count_adjugates(monkeypatch)
+        word = parse_word("c1^-2 c2 c1^-1 c3^-3 c1^-2")
+        for _ in range(2):
+            evaluator = words.Evaluator(mixed_rep.generators)
+            assert evaluator.evaluate(word) == evaluator.evaluate(word)
+        g1, _, g3, _, _ = mixed_rep.generators
+        assert calls == [g1, g3] * 2
 
 
 def count_adjugates(monkeypatch) -> list:
