@@ -20,10 +20,10 @@ an identity image there ends the search at once for any order.
 
 The determinant identity asserted for every analyzed word: det of the
 series matrix agrees with 1 + h^k * trace(C) modulo h^(k+1), so also
-with 1 + t^k * trace(C) modulo t^(k+1).  It is checked on integer
-polynomials in t built from coefficients 0 .. k, by the
-permutation-sum determinant, deliberately a different code path from
-the subset dynamic program used elsewhere.
+with 1 + t^k * trace(C) modulo t^(k+1).  It is checked on the entries'
+t^0 .. t^k integer coefficient tuples by a permutation sum cut after
+t^k, deliberately a third code path beside both determinants of
+:mod:`~g2jones.matrices`.
 
 Both signs share one evaluation.  Every entry of eta * u^a * (I + u^m *
 e_i) has one parity in u, so rho(-u) = S rho(u) S with S a diagonal
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count, islice, product
 from math import comb
 
 from .errors import (
@@ -53,7 +53,7 @@ from .errors import (
     NotTorelliError,
     ValuationExceedsOrderError,
 )
-from .matrices import SquareMatrix, determinant_by_permutations, matrix_trace
+from .matrices import SquareMatrix, matrix_trace
 from .rep import Normalization, RepDefinition
 from .rings import LaurentPoly, laurent_to_series
 from .symplectic import is_torelli
@@ -177,24 +177,42 @@ def _leading_term(image: SquareMatrix, eps: int, order: int, word: MCGWord):
     return found
 
 
-def _truncated_determinant(image: SquareMatrix, eps: int, depth: int) -> LaurentPoly:
-    """det of the image's expansion in t = e^h - 1 through t^depth.
+def _truncated_determinant(image, eps: int, depth: int) -> tuple:
+    """The t^0 .. t^depth coefficients of det of the image's expansion in t = e^h - 1.
 
-    The entries are integer polynomials in t, held as :class:`LaurentPoly`
-    used as Z[t]; the coefficients are read apart from :func:`_leading_term`.
+    A permutation sum on coefficient tuples cut after t^depth, depth first over
+    each row's nonzero entries, the used columns a bitmask, a new column adding
+    one inversion per used column to its right.  A branch ends once its product
+    vanishes mod t^(depth+1), as any two off-diagonal factors of a Torelli image do.
     """
     coeffs = list(islice(_coefficients(image, eps), depth + 1))
-    dim = coeffs[0].dim
-    return determinant_by_permutations(SquareMatrix(tuple(
-        tuple(LaurentPoly({j: c.entry(a, b) for j, c in enumerate(coeffs)}) for b in range(dim))
-        for a in range(dim)
-    )))
+    rows = [[(b, [(j, x) for j, x in enumerate(entry) if x]) for b, entry in enumerate(zip(*row))
+             if any(entry)] for row in zip(*(c.entries for c in coeffs))]
+    det = [0] * (depth + 1)
+
+    def extend(a: int, used: int, term: list, sign: int) -> None:
+        if a == len(rows):
+            for j, x in term:
+                det[j] += sign * x
+            return
+        for b, entry in rows[a]:
+            if used >> b & 1:
+                continue
+            cut = [0] * (depth + 1)
+            for (i, x), (j, y) in product(term, entry):
+                if i + j <= depth:
+                    cut[i + j] += x * y
+            if any(cut):
+                extend(a + 1, used | 1 << b, [(j, x) for j, x in enumerate(cut) if x],
+                       -sign if (used >> b).bit_count() % 2 else sign)
+
+    extend(0, 0, [(0, 1)], 1)
+    return tuple(det)
 
 
-def _det_identity_holds(image: SquareMatrix, eps: int, depth: int, lead: SquareMatrix) -> bool:
-    det = _truncated_determinant(image, eps, depth)
-    expected = [1] + [0] * (depth - 1) + [matrix_trace(lead)]
-    return all(det.coefficient(j) == c for j, c in enumerate(expected))
+def _det_identity_holds(image, eps: int, depth: int, lead: SquareMatrix) -> bool:
+    expected = (1,) + (0,) * (depth - 1) + (matrix_trace(lead),)
+    return _truncated_determinant(image, eps, depth) == expected
 
 
 @lru_cache(maxsize=4)

@@ -6,7 +6,7 @@ arithmetic plus coercion from small ints.  Inverses are taken over
 ints, ``Fraction`` and ``LaurentPoly`` only; series matrices are
 multiplied, never inverted.  Determinants come in two independent
 flavours on purpose: a division-free dynamic program over column subsets
-(the workhorse), and a direct permutation sum used to cross-check
+(the workhorse), and a direct permutation sum, the tests' oracle for
 determinant identities.  They share no code path.
 """
 
@@ -179,12 +179,12 @@ _PERM_DET_MAX_DIM = 6
 
 
 def determinant_by_permutations(matrix: SquareMatrix):
-    """Determinant as a signed sum over permutations.
+    """Determinant as a signed sum over permutations: public API and test oracle.
 
     Independent of :func:`matrix_determinant`; kept deliberately naive so
     the two routes cannot share a bug, except that a term stops at its
-    first zero factor.  Guarded to dim <= 6 because the sum has dim!
-    terms.
+    first zero factor.  No report runs it.  Guarded to dim <= 6 because
+    the sum has dim! terms.
     """
     n = matrix.dim
     if n > _PERM_DET_MAX_DIM:

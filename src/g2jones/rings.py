@@ -169,8 +169,9 @@ class LaurentPoly:
             return self._coeffs == ({0: other} if other else {})
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+    def __hash__(self):  # a constant hashes as the int it equals
+        coeffs = self._coeffs
+        return hash(coeffs.get(0, 0)) if coeffs.keys() <= {0} else hash(frozenset(coeffs.items()))
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -347,8 +348,9 @@ class TruncSeries:
             )
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self._order, self._coeffs))
+    def __hash__(self):  # a constant hashes as the scalar it equals
+        coeffs = self._coeffs
+        return hash((self._order, coeffs)) if any(coeffs[1:]) else hash(coeffs[0])
 
     def __str__(self) -> str:
         parts = []

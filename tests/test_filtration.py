@@ -11,6 +11,7 @@ machinery under test.
 """
 
 import json
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -49,7 +50,7 @@ from g2jones.errors import (
     NotUnipotentError,
     ValuationExceedsOrderError,
 )
-from g2jones import filtration
+from g2jones import filtration, matrices
 from g2jones.filtration import (
     LeadingTermCheck,
     _coefficients,
@@ -649,10 +650,10 @@ def test_equal_reps_get_separate_evaluators_and_identical_reports(rep6, catalog)
 
 # ------------------------------------------------------------------
 # The t^j coefficients are integer binomial sums, and the determinant
-# identity runs on integer polynomials in t = e^h - 1.  The references
-# expand each term in the series ring instead: (1 + t)^e by repeated
-# multiplication, with (1 + t)^-1 written out as 1 - t + t^2 - ..., and
-# the determinant of the laurent_to_series images at order depth.
+# identity runs on their t^0 .. t^depth coefficient tuples.  The
+# references expand each term in the series ring instead: (1 + t)^e by
+# repeated multiplication, with (1 + t)^-1 written out as 1 - t + t^2 -
+# ..., and the determinant of the laurent_to_series images at order depth.
 
 def t_series(poly, eps, order):
     """poly at u = eps * (1 + t), as a series in t through t^order."""
@@ -664,11 +665,11 @@ def t_series(poly, eps, order):
     return total
 
 
-def substitute_t(poly, order):
-    """A polynomial in t at t = e^h - 1, through h^order."""
+def substitute_t(coefficients, order):
+    """A polynomial in t, given by its coefficient tuple, at t = e^h - 1, through h^order."""
     t = exp_series(1, order) - 1
     total = TruncSeries.zero(order)
-    for j, c in poly.items():
+    for j, c in enumerate(coefficients):
         total = total + c * t ** j
     return total
 
@@ -754,10 +755,133 @@ class TestIntegerDeterminantAgainstSeries:
         assert (found, matrix_trace(lead)) == (depth, 1)
         assert series_det_identity_holds(image, eps, depth, lead)
         assert _det_identity_holds(image, eps, depth, lead)
-        assert _truncated_determinant(image, eps, depth).coefficient(depth) == 1
+        assert _truncated_determinant(image, eps, depth)[depth] == 1
         for wrong in (SquareMatrix.zero(5), lead * 2, lead - SquareMatrix.identity(5)):
             assert not series_det_identity_holds(image, eps, depth, wrong)
             assert not _det_identity_holds(image, eps, depth, wrong)
+
+
+# ------------------------------------------------------------------
+# The determinant identity's permutation sum on coefficient tuples, cut
+# after t^depth and pruned at the first zero partial product, against
+# two references: the same t^0 .. t^depth coefficients as LaurentPoly
+# entries used as Z[t] with every power kept, and the series route at
+# order depth, each entry's polynomial in t substituted at t = e^h - 1.
+
+def laurent_truncated_determinant(image, eps, depth):
+    """det of the image's t^0 .. t^depth coefficients as LaurentPoly entries used as Z[t]."""
+    coeffs = list(islice(_coefficients(image, eps), depth + 1))
+    dim = coeffs[0].dim
+    return determinant_by_permutations(SquareMatrix(tuple(
+        tuple(LaurentPoly({j: c.entry(a, b) for j, c in enumerate(coeffs)}) for b in range(dim))
+        for a in range(dim)
+    )))
+
+
+def t_series_determinant(image, eps, depth):
+    """det at order depth of the image's entries, each a polynomial in t at t = e^h - 1."""
+    coeffs = list(islice(_coefficients(image, eps), depth + 1))
+    dim = coeffs[0].dim
+    return determinant_by_permutations(SquareMatrix(tuple(
+        tuple(substitute_t([c.entry(a, b) for c in coeffs], depth) for b in range(dim))
+        for a in range(dim)
+    )))
+
+
+def assert_tuple_determinant_matches_oracles(image, eps, depth):
+    det = _truncated_determinant(image, eps, depth)
+    assert len(det) == depth + 1 and all(type(x) is int for x in det)
+    laurent = laurent_truncated_determinant(image, eps, depth)
+    assert det == tuple(laurent.coefficient(j) for j in range(depth + 1))
+    series = (t_series_determinant if isinstance(image, tuple) else series_determinant)(
+        image, eps, depth)
+    assert substitute_t(det, depth) == series
+    return det
+
+
+class TestTupleDeterminant:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_catalog(self, rep6, catalog, eps):
+        # the t-image the reports read; TestTruncatedEvaluation holds it to the Laurent image
+        for _, word in catalog:
+            depth = analyze(rep6, word, eps).depth
+            image = _t_image(word, rep6.evaluator, eps, max(depth, 2))
+            det = assert_tuple_determinant_matches_oracles(image, eps, depth)
+            assert det == (1,) + (0,) * depth  # Torelli leading matrices have trace 0
+
+    @settings(max_examples=15)
+    @given(word=st.one_of(conjugates, commutators), eps=signs)
+    def test_generated_torelli_words(self, rep6, word, eps):
+        try:
+            depth = analyze(rep6, word, eps, ORACLE_ORDER).depth
+        except ValuationExceedsOrderError:
+            return
+        assert_tuple_determinant_matches_oracles(
+            evaluate_word(word, rep6.generators), eps, depth)
+
+    @settings(max_examples=20)
+    @given(word=short_words, eps=signs, depth=st.integers(1, 4))
+    def test_laurent_images_of_short_words(self, rep6, word, eps, depth):
+        assert_tuple_determinant_matches_oracles(
+            evaluate_word(word, rep6.generators), eps, depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_dense_tuple_matrices(self, depth):
+        # every t^0 entry is nonzero, so every partial product is nonzero
+        # at t^0: no branch is pruned and all 120 permutations contribute
+        rng = random.Random(1400 + depth)
+        for _ in range(3):
+            image = tuple(SquareMatrix.from_rows(
+                [[rng.choice((-3, -2, -1, 1, 2, 3)) if j == 0 else rng.randint(-5, 5)
+                  for _ in range(5)] for _ in range(5)]) for j in range(depth + 1))
+            det = assert_tuple_determinant_matches_oracles(image, 1, depth)
+            assert det[0] == matrix_determinant(image[0])
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_nonzero_factors_with_a_zero_product(self, depth):
+        # I + t A + t^depth B, A nonzero in row 0 only below depth: entry
+        # (0, j) has t-valuation 1 and entry (j, 0) valuation depth, so
+        # every transposition's two factors are nonzero but multiply to
+        # zero mod t^(depth + 1); only the diagonal term is left
+        dense = SquareMatrix.from_rows([[i * j + 1 for j in range(5)] for i in range(5)])
+        row0 = SquareMatrix.from_rows([[j + 2 for j in range(5)]] + [[0] * 5] * 4)
+        image = (SquareMatrix.identity(5),) + (row0,) * (depth - 1) + (dense,)
+        det = assert_tuple_determinant_matches_oracles(image, 1, depth)
+        assert det == ((1, matrix_trace(dense)) if depth == 1 else (1, 2, matrix_trace(dense)))
+
+
+class TestReportPathLeavesTheLaurentRing:
+    def test_checks_run_without_laurent_products(self, rep6, catalog, monkeypatch):
+        # catalog words reach depth <= 16 and are read over Z[t]/(t^(K+1));
+        # a word trivial past t^16 takes the Laurent fallback instead
+        words = [word for _, word in catalog]
+        pairs = list(zip(words[:4], words[1:5]))  # depth 1 each, so additivity applies
+
+        def run_checks():
+            for eps in (1, -1):
+                for word in words:
+                    assert analyze(rep6, word, eps).det_lemma_ok
+                    assert verify_det_lemma(rep6, word, eps)
+                for x, y in pairs:
+                    assert check_delta_additivity(rep6, x, y, eps)
+                    assert check_bracket(rep6, x, y, eps)
+                    assert check_equivariance(rep6, parse_word("c3 c1^-1"), x, eps)
+
+        # letter powers are built once per evaluator, by Laurent products
+        run_checks()
+        filtration._t_image.cache_clear()
+        filtration._laurent_image.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("Laurent ring arithmetic on the report path")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+        monkeypatch.setattr(matrices, "determinant_by_permutations", refuse)
+        monkeypatch.setattr(filtration, "determinant_by_permutations", refuse, raising=False)
+        with pytest.raises(AssertionError, match="report path"):
+            LaurentPoly.variable() * LaurentPoly.variable()
+        run_checks()
 
 
 # ------------------------------------------------------------------

@@ -138,6 +138,12 @@ class TestDeterminant:
 
 
 class TestTraceAndArithmetic:
+    def test_equal_matrices_whose_zeros_differ_in_type_hash_equal(self):
+        ints, laurent = SquareMatrix(((0,),)), SquareMatrix(((LaurentPoly(),),))
+        assert ints == laurent and hash(ints) == hash(laurent)
+        identity = SquareMatrix.identity(2)
+        assert len({identity, identity.map_entries(lambda x: LaurentPoly({0: x}))}) == 1
+
     def test_trace_examples(self):
         assert matrix_trace(SquareMatrix.identity(5)) == 5
         m = SquareMatrix.from_rows([[U, 1], [0, U.unit_inverse()]])

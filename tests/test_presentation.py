@@ -106,6 +106,12 @@ def test_coxeter_relations_open_the_table():
     assert [name for name, _, _ in COXETER_RELATIONS] == RELATION_NAMES[:10]
 
 
+def test_equal_generators_whose_zeros_differ_in_type_share_the_report(rep6):
+    ints = tuple(g.map_entries(lambda p: p if p else 0) for g in rep6.generators)
+    assert ints == rep6.generators
+    assert check_presentation(ints) is check_presentation(rep6.generators)
+
+
 def test_require_relations_names_the_first_failure(rep6):
     require_relations(rep6.generators)
     u = LaurentPoly.variable()
